@@ -53,8 +53,7 @@ func serve(args []string) error {
 	addr := fs.String("addr", ":8070", "listen address")
 	archsFlag := fs.String("archs", "x86,arm,riscv", "comma-separated served architectures")
 	workers := fs.Int("workers", 4, "simulator instances per architecture shard")
-	cacheCap := fs.Int("cache-cap", 1<<18, "in-memory result cache capacity (entries)")
-	maxResident := fs.Int("max-resident", 0, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir (0 = use -cache-cap)")
+	maxResident := fs.Int("max-resident", 0, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir (default 262144)")
 	cacheDir := fs.String("cache-dir", "", "durable result store directory; a restarted server recovers its computed corpus from the segment log here (empty = memory only)")
 	segBytes := fs.Int64("cache-seg-bytes", 0, "store segment rotation size in bytes (default 64 MB)")
 	maxQueued := fs.Int("max-queued", 0, "admission bound: candidates held (queued+running) before new batches get 429 + Retry-After (default 65536)")
@@ -80,7 +79,7 @@ func serve(args []string) error {
 		return err
 	}
 	srv, err := service.NewServer(service.Config{
-		Archs: archs, WorkersPerArch: *workers, CacheCapacity: *cacheCap,
+		Archs: archs, WorkersPerArch: *workers,
 		MaxResidentResults: *maxResident, TenantWeights: weights,
 		CacheDir: *cacheDir, CacheSegmentBytes: *segBytes,
 		MaxQueuedCandidates: *maxQueued, DrainTimeout: *drainTimeout,
@@ -92,8 +91,7 @@ func serve(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("simtune serve: listening on %s (archs %v, %d workers/arch, cache cap %d)\n",
-		*addr, archs, *workers, *cacheCap)
+	fmt.Printf("simtune serve: listening on %s (archs %v, %d workers/arch)\n", *addr, archs, *workers)
 	if *cacheDir != "" {
 		st, _ := srv.Statusz(ctx)
 		fmt.Printf("  durable store %s: %d results recovered\n", *cacheDir, st.CacheDiskEntries)
@@ -146,8 +144,6 @@ func route(args []string) error {
 	nodesFlag := fs.String("nodes", "", "comma-separated backend server URLs (required), e.g. http://sim-0:8070,http://sim-1:8070")
 	replicas := fs.Int("replicas", 0, "virtual nodes per backend on the hash ring (default 128)")
 	probe := fs.Duration("probe", 2*time.Second, "health-probe interval (a recovered node rejoins within one interval)")
-	handoff := fs.Bool("handoff", true, "warm-handoff on rejoin: replay the keys a recovered node owns from its ring successors before it re-enters rotation")
-	handoffChunk := fs.Int("handoff-chunk", 0, "results per fetch/ingest round trip during handoff (default 256)")
 	rf := fs.Int("rf", 0, "replication factor: ring nodes holding each key — owner plus rf-1 successors (default 2; 1 disables replication)")
 	antiEntropy := fs.Duration("antientropy", 0, "anti-entropy round interval: diff /v1/keys between replicas and repair gaps (default 1m; negative disables)")
 	slowBatch := fs.Duration("slow-batch", 0, "log a structured slow-batch line for batches slower than this (0 = off)")
@@ -168,7 +164,6 @@ func route(args []string) error {
 	}
 	rt, err := service.NewRouter(service.RouterConfig{
 		Nodes: nodes, Replicas: *replicas, ProbeInterval: *probe,
-		DisableHandoff: !*handoff, HandoffChunk: *handoffChunk,
 		ReplicationFactor: *rf, AntiEntropyInterval: *antiEntropy,
 		SlowBatchThreshold: *slowBatch, TraceRingSize: *traceRing,
 		EnablePprof: *pprofFlag, DisableTelemetry: *noTel,

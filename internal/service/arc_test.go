@@ -230,8 +230,8 @@ func TestFetchReadsThroughEviction(t *testing.T) {
 			t.Fatalf("fetch served wrong value for key %d: %+v", e.Key[0], e.Result)
 		}
 	}
-	if keys := c.keysInRange(0, ^uint64(0)); len(keys) != n {
-		t.Fatalf("keysInRange lists %d of %d keys", len(keys), n)
+	if keys := c.keys(); len(keys) != n {
+		t.Fatalf("keys lists %d of %d keys", len(keys), n)
 	}
 }
 
@@ -297,12 +297,17 @@ func TestMaxResidentConfig(t *testing.T) {
 	}
 }
 
-// TestMaxResidentZeroFallsBackToCacheCapacity pins the legacy-name
-// precedence so existing deployments keep their bound.
-func TestMaxResidentZeroFallsBackToCacheCapacity(t *testing.T) {
-	cfg := Config{Archs: []isa.Arch{isa.RISCV}, CacheCapacity: 7}
+// TestMaxResidentZeroDefaults pins the default resident bound: a zero
+// MaxResidentResults means 1<<18 results, not unbounded.
+func TestMaxResidentZeroDefaults(t *testing.T) {
+	cfg := Config{Archs: []isa.Arch{isa.RISCV}}
 	cfg.defaults()
-	if cfg.MaxResidentResults != 7 {
-		t.Fatalf("MaxResidentResults defaulted to %d, want CacheCapacity 7", cfg.MaxResidentResults)
+	if cfg.MaxResidentResults != 1<<18 {
+		t.Fatalf("MaxResidentResults defaulted to %d, want %d", cfg.MaxResidentResults, 1<<18)
+	}
+	srv := mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}})
+	defer srv.Close()
+	if got := srv.cache.capacity; got != 1<<18 {
+		t.Fatalf("server cache bound = %d, want %d", got, 1<<18)
 	}
 }

@@ -177,8 +177,13 @@ func (c *resultCache) do(ctx context.Context, k Key, compute func() (Result, err
 // reading the durable layer (disk_hit), and doing eviction bookkeeping
 // (evict). nil tm measures nothing — the telemetry-off path takes no clock
 // reads here.
+//
+// A caller that finds the key neither resident nor in flight registers the
+// flight first and only then reads the durable layer as its leader. Every
+// computed result is on disk before its flight is released, so a leader
+// that misses the disk is the only one computing the key — even when an
+// earlier computation has already been evicted from RAM.
 func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compute func() (Result, error)) (r Result, hit bool, err error) {
-	diskChecked := false
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[k]; ok && e.resident() {
@@ -188,123 +193,108 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 			c.hits.Add(1)
 			return r, true, nil
 		}
-		if f, ok := c.inflight[k]; ok {
-			c.mu.Unlock()
-			var w0 time.Time
-			if tm != nil {
-				w0 = time.Now()
-			}
-			select {
-			case <-f.done:
-				// The leader finished (or abandoned): loop to re-check the
-				// map and, if the leader was canceled, take over.
-				if tm != nil {
-					tm.sfWait += time.Since(w0)
-				}
-				continue
-			case <-ctx.Done():
-				if tm != nil {
-					tm.sfWait += time.Since(w0)
-				}
-				c.canceled.Add(1)
-				return Result{}, false, ctx.Err()
-			}
+		f, ok := c.inflight[k]
+		if !ok {
+			break // leave the loop holding c.mu, to become the leader
 		}
-		if c.disk != nil && !diskChecked {
-			// Not resident and nobody is computing it: the durable layer may
-			// hold it from a previous process lifetime or from before an
-			// eviction. Read outside the lock — a racing reader doing the
-			// same work promotes the identical value, which is harmless.
-			c.mu.Unlock()
-			diskChecked = true
-			var d0 time.Time
-			if tm != nil {
-				d0 = time.Now()
-			}
-			res, ok := c.disk.Get(k)
-			if tm != nil {
-				tm.disk += time.Since(d0)
-				tm.diskHit = ok
-			}
-			if ok {
-				c.storeTimed(k, res, tm)
-				c.hits.Add(1)
-				c.diskHits.Add(1)
-				return res, true, nil
-			}
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[k] = f
 		c.mu.Unlock()
-
-		r, err := compute()
-		if err == nil && c.disk != nil {
-			// Durability before evictability: Put lands the result in the
-			// store's pending map synchronously (the disk write itself is
-			// behind), so by the time the entry is resident — and therefore
-			// evictable — the durable layer can already serve it.
-			c.disk.Put(k, r)
-		}
-		var e0 time.Time
+		var w0 time.Time
 		if tm != nil {
-			e0 = time.Now()
+			w0 = time.Now()
 		}
-		ev := 0
-		c.mu.Lock()
-		if err == nil {
-			ev = c.store(k, r)
-		}
-		delete(c.inflight, k)
-		c.mu.Unlock()
-		close(f.done)
-		if tm != nil && ev > 0 {
-			tm.evict += time.Since(e0)
-			tm.evicted = true
-		}
-		if err != nil {
+		select {
+		case <-f.done:
+			// The leader finished (or abandoned): loop to re-check the map
+			// and, if the leader was canceled, take over.
+			if tm != nil {
+				tm.sfWait += time.Since(w0)
+			}
+		case <-ctx.Done():
+			if tm != nil {
+				tm.sfWait += time.Since(w0)
+			}
 			c.canceled.Add(1)
-			return Result{}, false, err
+			return Result{}, false, ctx.Err()
 		}
-		c.misses.Add(1)
-		return r, false, nil
 	}
+	f := &flight{done: make(chan struct{})}
+	c.inflight[k] = f
+	c.mu.Unlock()
+
+	if c.disk != nil {
+		// The durable layer may hold the key from a previous process
+		// lifetime or from before an eviction.
+		var d0 time.Time
+		if tm != nil {
+			d0 = time.Now()
+		}
+		res, ok := c.disk.Get(k)
+		if tm != nil {
+			tm.disk += time.Since(d0)
+			tm.diskHit = ok
+		}
+		if ok {
+			c.land(k, f, res, true, tm)
+			c.hits.Add(1)
+			c.diskHits.Add(1)
+			return res, true, nil
+		}
+	}
+
+	r, err = compute()
+	if err == nil && c.disk != nil {
+		// Durability before evictability: Put lands the result in the
+		// store's pending map synchronously (the disk write itself is
+		// behind), so by the time the entry is resident — and therefore
+		// evictable — the durable layer can already serve it.
+		c.disk.Put(k, r)
+	}
+	c.land(k, f, r, err == nil, tm)
+	if err != nil {
+		c.canceled.Add(1)
+		return Result{}, false, err
+	}
+	c.misses.Add(1)
+	return r, false, nil
 }
 
-// storeTimed installs a result with the same nil-guarded evict timing as the
-// miss path (used by the disk-promote path, which runs without the lock).
-func (c *resultCache) storeTimed(k Key, r Result, tm *candTimings) {
+// land ends flight f for k, installing r first when ok, with the same
+// nil-guarded evict timing as the rest of doTimed.
+func (c *resultCache) land(k Key, f *flight, r Result, ok bool, tm *candTimings) {
 	var e0 time.Time
 	if tm != nil {
 		e0 = time.Now()
 	}
+	ev := 0
 	c.mu.Lock()
-	ev := c.store(k, r)
+	if ok {
+		ev = c.store(k, r)
+	}
+	delete(c.inflight, k)
 	c.mu.Unlock()
+	close(f.done)
 	if tm != nil && ev > 0 {
 		tm.evict += time.Since(e0)
 		tm.evicted = true
 	}
 }
 
-// keysInRange lists every key this cache can serve (resident set and durable
-// layer) whose ring position falls in [lo, hi] (wrapping when lo > hi) — the
-// /v1/keys surface the warm-handoff replay and anti-entropy rounds walk.
-// Ghost entries are skipped: their values live on disk (covered by
-// disk.Keys) or are gone.
-func (c *resultCache) keysInRange(lo, hi uint64) []Key {
+// keys lists every key this cache can serve (resident set and durable
+// layer) — the /v1/keys surface repair rounds walk. Ghost entries are
+// skipped: their values live on disk (covered by disk.Keys) or are gone.
+func (c *resultCache) keys() []Key {
 	seen := make(map[Key]bool)
 	c.mu.Lock()
 	out := make([]Key, 0, c.t1.n+c.t2.n)
 	for k, e := range c.entries {
-		if e.resident() && posInRange(keyPos(k), lo, hi) {
+		if e.resident() {
 			seen[k] = true
 			out = append(out, k)
 		}
 	}
 	c.mu.Unlock()
 	if c.disk != nil {
-		for _, k := range c.disk.Keys(lo, hi) {
+		for _, k := range c.disk.Keys() {
 			if !seen[k] {
 				out = append(out, k)
 			}

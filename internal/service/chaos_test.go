@@ -84,8 +84,11 @@ func (n *chaosNode) server() *Server {
 
 // drainStop is the SIGTERM path a real `simtune serve` takes: drain the
 // server (statusz flips to draining first, so a probing router rotates the
-// node out), then stop the HTTP surface.
-func (n *chaosNode) drainStop() {
+// node out), then stop the HTTP surface. wire is the router's transport:
+// its idle connections are closed first, because http.Server.Shutdown waits
+// up to 5s on a connection the transport dialed but never used — exactly
+// the budget below.
+func (n *chaosNode) drainStop(wire *http.Transport) {
 	n.t.Helper()
 	if err := n.server().Shutdown(context.Background()); err != nil {
 		n.t.Fatalf("drain %s: %v", n.addr, err)
@@ -95,13 +98,10 @@ func (n *chaosNode) drainStop() {
 	n.mu.Lock()
 	hsrv := n.hsrv
 	n.mu.Unlock()
+	wire.CloseIdleConnections()
 	if err := hsrv.Shutdown(ctx); err != nil {
 		n.t.Fatalf("http stop %s: %v", n.addr, err)
 	}
-}
-
-func (n *chaosNode) stop() {
-	n.drainStop()
 }
 
 // TestChaosTuneThroughFaultyFleet is the chaos acceptance run: a full tune
@@ -293,7 +293,7 @@ func TestChaosTuneThroughFaultyFleet(t *testing.T) {
 	// Phase 2: SIGTERM-style rolling restart of node 0 — drain (router
 	// rotates it out on the draining flag), stop, recover from the segment
 	// log, rejoin (handoff replays whatever it missed).
-	nodes[0].drainStop()
+	nodes[0].drainStop(inner)
 	rt.probeOnce(context.Background())
 	if rt.nodes[0].up.Load() {
 		t.Fatal("drained node still in rotation")
@@ -333,7 +333,7 @@ func TestChaosTuneThroughFaultyFleet(t *testing.T) {
 	// router, HTTP servers, stores, pooled connections — must unwind.
 	rt.Close()
 	for _, n := range nodes {
-		n.stop()
+		n.drainStop(inner)
 		if err := n.server().Close(); err != nil {
 			t.Errorf("close %s: %v", n.addr, err)
 		}
@@ -565,7 +565,7 @@ func TestChaosPermanentNodeLossServesFromReplica(t *testing.T) {
 
 	// Both survivors now hold the whole corpus: every key readable on each.
 	for i, n := range nodes[1:] {
-		keys, err := n.server().Keys(context.Background(), 0, ^uint64(0))
+		keys, err := n.server().Keys(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +577,7 @@ func TestChaosPermanentNodeLossServesFromReplica(t *testing.T) {
 
 	rt.Close()
 	for _, n := range nodes[1:] {
-		n.stop()
+		n.drainStop(inner)
 		if err := n.server().Close(); err != nil {
 			t.Errorf("close %s: %v", n.addr, err)
 		}

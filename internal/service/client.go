@@ -77,15 +77,9 @@ func (c *Client) Statusz(ctx context.Context) (*Statusz, error) {
 	return &st, nil
 }
 
-// Keys implements HandoffBackend over GET /v1/keys. The full inventory is
-// lo=0, hi=^uint64(0); any other pair is sent as ?range=lo-hi (wrapping
-// when lo > hi, matching ring arcs).
-func (c *Client) Keys(ctx context.Context, lo, hi uint64) ([]Key, error) {
-	url := c.BaseURL + "/v1/keys"
-	if !(lo == 0 && hi == ^uint64(0)) {
-		url += fmt.Sprintf("?range=%016x-%016x", lo, hi)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// Keys implements HandoffBackend over GET /v1/keys.
+func (c *Client) Keys(ctx context.Context) ([]Key, error) {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/keys", nil)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}

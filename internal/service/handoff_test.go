@@ -15,11 +15,11 @@ import (
 // off through the same wrapper that injects node faults. handoffTripped
 // fails only Keys/Fetch/Ingest — the "statusz answers but the node is not
 // ready for replication" shape.
-func (f *flakyBackend) Keys(ctx context.Context, lo, hi uint64) ([]Key, error) {
+func (f *flakyBackend) Keys(ctx context.Context) ([]Key, error) {
 	if f.tripped.Load() || f.handoffTripped.Load() {
 		return nil, &Error{Status: 503, Msg: "injected node fault"}
 	}
-	return f.Backend.(HandoffBackend).Keys(ctx, lo, hi)
+	return f.Backend.(HandoffBackend).Keys(ctx)
 }
 
 func (f *flakyBackend) Fetch(ctx context.Context, keys []Key) ([]Entry, error) {
@@ -37,7 +37,7 @@ func (f *flakyBackend) Ingest(ctx context.Context, entries []Entry) (int, error)
 }
 
 // TestHandoffEndpointsHTTP exercises the /v1/keys + /v1/fetch + /v1/ingest
-// triple over a live HTTP hop: inventory (full and ranged), bulk read, and
+// triple over a live HTTP hop: inventory, bulk read, and
 // idempotent install on a second node — after which the second node serves
 // the transferred corpus as cache hits without ever simulating.
 func TestHandoffEndpointsHTTP(t *testing.T) {
@@ -58,25 +58,12 @@ func TestHandoffEndpointsHTTP(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	keys, err := srcCl.Keys(ctx, 0, ^uint64(0))
+	keys, err := srcCl.Keys(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != n {
 		t.Fatalf("inventory lists %d keys, want %d", len(keys), n)
-	}
-	// Ranged inventory partitions the full one.
-	const pivot = uint64(1) << 63
-	low, err := srcCl.Keys(ctx, 0, pivot-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := srcCl.Keys(ctx, pivot, ^uint64(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(low)+len(high) != n {
-		t.Fatalf("ranged inventories lose keys: %d + %d != %d", len(low), len(high), n)
 	}
 
 	entries, err := srcCl.Fetch(ctx, keys)
@@ -432,7 +419,7 @@ func TestFailedHandoffKeepsNodeOutOfRotation(t *testing.T) {
 // simulate work, but the replication endpoints answer 404 (non-retryable).
 type legacyBackend struct{ Backend }
 
-func (legacyBackend) Keys(context.Context, uint64, uint64) ([]Key, error) {
+func (legacyBackend) Keys(context.Context) ([]Key, error) {
 	return nil, &Error{Status: 404, Msg: "404 page not found"}
 }
 func (legacyBackend) Fetch(context.Context, []Key) ([]Entry, error) {

@@ -30,12 +30,6 @@ type RouterConfig struct {
 	ProbeInterval time.Duration
 	// HTTPClient overrides the transport shared by all node clients.
 	HTTPClient *http.Client
-	// DisableHandoff turns off the warm-handoff replay that runs when a
-	// node rejoins the ring. With handoff off, a rejoining node re-simulates
-	// the keys it owns (its misses) instead of receiving them from the
-	// successors that covered its range. It also disables replication and
-	// anti-entropy, which ride the same endpoint triple.
-	DisableHandoff bool
 	// ReplicationFactor is how many ring nodes hold each key: the owner
 	// plus RF-1 successors (default 2; clamped to the node count; 1 turns
 	// replication off; negative is a configuration error). Fresh results
@@ -48,12 +42,6 @@ type RouterConfig struct {
 	// 1m; negative disables the loop — antiEntropyOnce still works, which
 	// is what tests and operators drive directly).
 	AntiEntropyInterval time.Duration
-	// HandoffChunk bounds how many results travel per fetch/ingest round
-	// trip during a handoff replay (default 256).
-	HandoffChunk int
-	// HandoffTimeout bounds one node's whole rejoin replay (default 2m —
-	// generous, since a replay moves cached results, never simulations).
-	HandoffTimeout time.Duration
 	// DisableTelemetry turns off the router-tier obs layer (histograms,
 	// traces). Node-side telemetry is each node's own setting.
 	DisableTelemetry bool
@@ -68,6 +56,15 @@ type RouterConfig struct {
 	EnablePprof bool
 }
 
+const (
+	// handoffChunk bounds how many results travel per fetch/ingest round
+	// trip during repair and write-through replication.
+	handoffChunk = 256
+	// handoffTimeout bounds one node's whole rejoin — generous, since a
+	// rejoin moves cached results, never simulations.
+	handoffTimeout = 2 * time.Minute
+)
+
 func (c *RouterConfig) defaults() {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -77,12 +74,6 @@ func (c *RouterConfig) defaults() {
 	}
 	if c.AntiEntropyInterval == 0 {
 		c.AntiEntropyInterval = time.Minute
-	}
-	if c.HandoffChunk <= 0 {
-		c.HandoffChunk = 256
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 2 * time.Minute
 	}
 	if c.TraceRingSize == 0 {
 		c.TraceRingSize = 256
@@ -313,7 +304,7 @@ func (rt *Router) probeOnce(ctx context.Context) {
 
 // probe starts one concurrent health-check/rejoin round and returns its
 // WaitGroup without waiting. Statusz probes are bounded by the probe
-// timeout; a rejoin replay runs under its own HandoffTimeout budget and is
+// timeout; a rejoin replay runs under its own handoffTimeout budget and is
 // guarded per node, so overlapping rounds never start a second replay.
 func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 	timeout := rt.cfg.ProbeInterval
@@ -343,7 +334,7 @@ func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 				n.markDown(fmt.Errorf("draining"))
 				return
 			}
-			if n.up.Load() || rt.cfg.DisableHandoff {
+			if n.up.Load() {
 				n.markUp()
 				return
 			}
@@ -355,7 +346,7 @@ func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 				return // a replay is already running; it decides the markUp
 			}
 			defer n.handingOff.Store(false)
-			hctx, hcancel := context.WithTimeout(ctx, rt.cfg.HandoffTimeout)
+			hctx, hcancel := context.WithTimeout(ctx, handoffTimeout)
 			defer hcancel()
 			rt.rejoin(hctx, i, n)
 		}(i, n)
@@ -364,9 +355,13 @@ func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 }
 
 // rejoin replays the results node idx owns on the ring from the peers that
-// held them while it was down, then returns it to rotation. Error
-// semantics, chosen so a node can neither rejoin unwarmed nor be locked
-// out forever:
+// held them while it was down, then returns it to rotation. Each pass is one
+// repair round with owner placement; passes repeat until one moves nothing,
+// because while the node is out of rotation its keys keep draining to the
+// successors (the cap bounds a client that produces owned keys faster than
+// they can be copied). Replica duty is anti-entropy's job, so rejoin moves
+// only owned keys. Error semantics, chosen so a node can neither rejoin
+// unwarmed nor be locked out forever:
 //
 //   - Peer-side errors are tolerated: a struggling peer's keys stay where
 //     they are, and re-simulating them later is the bounded fallback.
@@ -377,106 +372,47 @@ func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 //     means there is no replication surface to wait for: the node rejoins
 //     without a replay rather than being retried to the same answer
 //     forever.
-//
-// The replay never moves a key to a node that does not own it, and ingest
-// skips keys the node already holds, so replaying is always safe to
-// repeat.
 func (rt *Router) rejoin(ctx context.Context, idx int, n *routerNode) {
-	target, ok := n.backend.(HandoffBackend)
-	if !ok {
+	if _, ok := n.backend.(HandoffBackend); !ok {
 		n.markUp() // nothing to replay through (in-process router, ...)
 		return
 	}
-	// What the rejoining node already holds (it may have kept RAM, or
-	// recovered a durable store): those keys need no transfer.
-	have := make(map[Key]bool)
-	targetKeys, err := target.Keys(ctx, 0, ^uint64(0))
-	if err != nil {
-		if !IsRetryable(err) {
-			n.markUp() // no handoff surface on this node; rejoin unwarmed
+	self := []int{idx}
+	owned := func(k Key) []int {
+		if rt.ring.owner(k) == idx {
+			return self
 		}
-		return // transient: stay down, next probe round retries
+		return nil
 	}
-	for _, k := range targetKeys {
-		have[k] = true
+	round := func() (int, error) {
+		moved, err := rt.repair(ctx, idx, owned)
+		rt.handoffKeys.Add(uint64(moved))
+		return moved, err
 	}
-	// Delta passes: while the replay runs the node is still out of
-	// rotation, so its keys keep draining to the successors — a peer may
-	// compute more owned results after its inventory was taken. Re-scan
-	// until a pass finds nothing new (have accumulates, so each pass sees
-	// only the delta); the pass cap bounds a pathological client that
-	// produces owned keys faster than they can be copied.
 	for pass := 0; pass < 4; pass++ {
-		found, ok := rt.handoffSweep(ctx, idx, target, have)
-		if !ok {
-			return // the rejoining node faltered; retry later
+		moved, err := round()
+		if err != nil {
+			if !IsRetryable(err) {
+				n.markUp() // no handoff surface on this node; rejoin unwarmed
+			}
+			return
 		}
-		if found == 0 {
+		if moved == 0 {
 			break
 		}
 	}
 	n.markUp()
-	// Closing sweep: a key in flight on a successor when the last pass
+	// Closing round: a key in flight on a successor when the last pass
 	// scanned may have completed just before markUp and would otherwise be
 	// stranded there (anything computed after markUp routes to the node
-	// itself). One post-markUp sweep closes that window.
-	rt.handoffSweep(ctx, idx, target, have)
-}
-
-// handoffSweep performs one replay pass for node idx: scan every live
-// peer's inventory, transfer the owned keys not yet in have, and report how
-// many new keys the scan found. ok is false only when the rejoining node
-// itself failed an ingest.
-func (rt *Router) handoffSweep(ctx context.Context, idx int, target HandoffBackend, have map[Key]bool) (found int, ok bool) {
-	for j, peer := range rt.nodes {
-		if j == idx || !peer.up.Load() {
-			continue
-		}
-		pb, ok := peer.backend.(HandoffBackend)
-		if !ok {
-			continue
-		}
-		// One inventory round trip per peer; ownership is decided here
-		// against the ring, which hashes exactly what the peers hashed.
-		// (/v1/keys also accepts ?range= for narrower pulls — with 128
-		// virtual nodes per backend the rejoined node's range is many
-		// small arcs, so one full listing is the cheaper shape.)
-		keys, err := pb.Keys(ctx, 0, ^uint64(0))
-		if err != nil {
-			continue
-		}
-		var want []Key
-		for _, k := range keys {
-			if !have[k] && rt.ring.owner(k) == idx {
-				have[k] = true
-				want = append(want, k)
-			}
-		}
-		found += len(want)
-		for start := 0; start < len(want); start += rt.cfg.HandoffChunk {
-			end := start + rt.cfg.HandoffChunk
-			if end > len(want) {
-				end = len(want)
-			}
-			entries, err := pb.Fetch(ctx, want[start:end])
-			if err != nil {
-				break // this peer is struggling; try the next one
-			}
-			n, err := target.Ingest(ctx, entries)
-			if err != nil {
-				return found, false
-			}
-			rt.handoffKeys.Add(uint64(n))
-		}
-	}
-	return found, true
+	// itself).
+	round()
 }
 
 // replicationEnabled reports whether the ring keeps multiple copies of each
-// key. Replication rides the handoff endpoint triple, so DisableHandoff
-// turns it off too, and a single-node ring has nowhere to replicate to.
+// key (ReplicationFactor is already clamped to the node count).
 func (rt *Router) replicationEnabled() bool {
-	return rt.cfg.ReplicationFactor > 1 && !rt.cfg.DisableHandoff && len(rt.nodes) > 1
+	return rt.cfg.ReplicationFactor > 1
 }
 
 // liveReplicas returns the first ReplicationFactor live nodes on k's
@@ -498,7 +434,7 @@ func (rt *Router) liveReplicas(k Key) []int {
 	return out
 }
 
-// pushEntries ingests each target's entries in HandoffChunk-sized rounds,
+// pushEntries ingests each target's entries in handoffChunk-sized rounds,
 // crediting replicaKeys with what the targets report as new. Errors are
 // tolerated per target — a replica that cannot take its copy right now is
 // repaired by a later anti-entropy round, never retried inline.
@@ -509,12 +445,8 @@ func (rt *Router) pushEntries(ctx context.Context, byTarget map[int][]Entry) int
 		if !ok {
 			continue
 		}
-		for start := 0; start < len(entries); start += rt.cfg.HandoffChunk {
-			end := start + rt.cfg.HandoffChunk
-			if end > len(entries) {
-				end = len(entries)
-			}
-			n, err := tb.Ingest(ctx, entries[start:end])
+		for start := 0; start < len(entries); start += handoffChunk {
+			n, err := tb.Ingest(ctx, entries[start:min(start+handoffChunk, len(entries))])
 			if err != nil {
 				break // this replica is struggling; anti-entropy catches it up
 			}
@@ -563,14 +495,12 @@ func (rt *Router) replicateFresh(ctx context.Context, keys []Key, results []Resu
 	}
 }
 
-// antiEntropyOnce runs one anti-entropy round: diff the live nodes' key
-// inventories (/v1/keys) against each key's replica set and copy every
-// missing entry from a node that holds it. The round is the repair path for
+// antiEntropyOnce runs one anti-entropy round: a repair round whose
+// placement is each key's live replica set. It is the repair path for
 // everything write-through cannot cover — a replica that was down when its
 // copy was pushed, a node permanently lost with its disk, a fleet whose
 // ReplicationFactor was just raised. Returns how many entries moved, so
-// callers can loop until a round moves nothing (convergence). Safe to run
-// concurrently with serving: ingest is idempotent and never evicts.
+// callers can loop until a round moves nothing (convergence).
 func (rt *Router) antiEntropyOnce(ctx context.Context) int {
 	if !rt.replicationEnabled() {
 		return 0
@@ -579,84 +509,97 @@ func (rt *Router) antiEntropyOnce(ctx context.Context) int {
 	if rt.tel != nil {
 		a0 = time.Now()
 	}
-	// Inventory every live node with a handoff surface, in parallel.
-	invs := make([][]Key, len(rt.nodes))
-	participating := make([]bool, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i, n := range rt.nodes {
-		hb, ok := n.backend.(HandoffBackend)
-		if !ok || !n.up.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, hb HandoffBackend) {
-			defer wg.Done()
-			keys, err := hb.Keys(ctx, 0, ^uint64(0))
-			if err != nil {
-				return // skip this node this round; the next round retries
-			}
-			invs[i] = keys
-			participating[i] = true
-		}(i, hb)
-	}
-	wg.Wait()
-
-	has := make([]map[Key]bool, len(rt.nodes))
-	for i := range rt.nodes {
-		if !participating[i] {
-			continue
-		}
-		has[i] = make(map[Key]bool, len(invs[i]))
-		for _, k := range invs[i] {
-			has[i][k] = true
-		}
-	}
-	// For every key anywhere in the fleet, find the replicas that lack it.
-	// The first node seen holding a key sources every pull for it (seen
-	// dedupes, so each key is planned exactly once per round).
-	type pullPair struct{ target, source int }
-	pulls := make(map[pullPair][]Key)
-	seen := make(map[Key]bool)
-	for i := range rt.nodes {
-		if !participating[i] {
-			continue
-		}
-		for _, k := range invs[i] {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			for _, j := range rt.liveReplicas(k) {
-				if j == i || !participating[j] || has[j][k] {
-					continue
-				}
-				pulls[pullPair{target: j, source: i}] = append(pulls[pullPair{target: j, source: i}], k)
-			}
-		}
-	}
-	moved := 0
-	for pair, want := range pulls {
-		src, ok := rt.nodes[pair.source].backend.(HandoffBackend)
-		if !ok {
-			continue
-		}
-		for start := 0; start < len(want); start += rt.cfg.HandoffChunk {
-			end := start + rt.cfg.HandoffChunk
-			if end > len(want) {
-				end = len(want)
-			}
-			entries, err := src.Fetch(ctx, want[start:end])
-			if err != nil {
-				break // source faltered; the next round replans
-			}
-			moved += rt.pushEntries(ctx, map[int][]Entry{pair.target: entries})
-		}
-	}
+	moved, _ := rt.repair(ctx, -1, rt.liveReplicas)
+	rt.replicaKeys.Add(uint64(moved))
 	rt.aeRounds.Add(1)
 	if rt.tel != nil {
 		rt.rtAntiEnt.Observe(time.Since(a0))
 	}
 	return moved
+}
+
+// repair runs one inventory→diff→copy round, the mechanism behind both
+// rejoin and anti-entropy:
+//
+//  1. Inventory (/v1/keys) every live node with a handoff surface, in
+//     parallel, plus node must when must >= 0 (a rejoining node, still out
+//     of rotation).
+//  2. For each key, place(k) names the nodes that should hold it; those that
+//     took part in the round and lack it are its targets.
+//  3. Fetch each missing key from the first node holding it and ingest it
+//     into each target, handoffChunk keys per round trip.
+//
+// It returns how many entries the targets reported as new. A peer that
+// fails its inventory, a fetch or an ingest is skipped for the round; the
+// next round replans. Only node must's own inventory or ingest errors are
+// returned. Ingest skips keys a node already holds, so a round is safe to
+// repeat and to run concurrently with serving.
+func (rt *Router) repair(ctx context.Context, must int, place func(Key) []int) (int, error) {
+	invs := make([][]Key, len(rt.nodes))
+	has := make([]map[Key]bool, len(rt.nodes)) // nil: not in this round
+	errs := make([]error, len(rt.nodes))
+	var wg sync.WaitGroup
+	for i, n := range rt.nodes {
+		hb, ok := n.backend.(HandoffBackend)
+		if !ok || (i != must && !n.up.Load()) {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, hb HandoffBackend) {
+			defer wg.Done()
+			keys, err := hb.Keys(ctx)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			invs[i] = keys
+			has[i] = make(map[Key]bool, len(keys))
+			for _, k := range keys {
+				has[i][k] = true
+			}
+		}(i, hb)
+	}
+	wg.Wait()
+	if must >= 0 && errs[must] != nil {
+		return 0, errs[must]
+	}
+
+	type pullPair struct{ target, source int }
+	pulls := make(map[pullPair][]Key)
+	seen := make(map[Key]bool)
+	for i, keys := range invs {
+		for _, k := range keys {
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			for _, j := range place(k) {
+				if has[j] != nil && !has[j][k] {
+					pulls[pullPair{j, i}] = append(pulls[pullPair{j, i}], k)
+				}
+			}
+		}
+	}
+	moved := 0
+	for pair, want := range pulls {
+		src := rt.nodes[pair.source].backend.(HandoffBackend)
+		dst := rt.nodes[pair.target].backend.(HandoffBackend)
+		for start := 0; start < len(want); start += handoffChunk {
+			entries, err := src.Fetch(ctx, want[start:min(start+handoffChunk, len(want))])
+			if err != nil {
+				break // the source faltered
+			}
+			n, err := dst.Ingest(ctx, entries)
+			moved += n
+			if err != nil {
+				if pair.target == must {
+					return moved, err
+				}
+				break // the target faltered
+			}
+		}
+	}
+	return moved, nil
 }
 
 // Simulate implements Backend: split the batch by ring owner, fan sub-batches

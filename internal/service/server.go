@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -423,8 +422,8 @@ func (s *Server) MetricsSnapshot(context.Context) (*obs.MetricsSnapshot, error) 
 
 // Keys implements HandoffBackend over the result cache (RAM plus durable
 // layer).
-func (s *Server) Keys(_ context.Context, lo, hi uint64) ([]Key, error) {
-	return s.cache.keysInRange(lo, hi), nil
+func (s *Server) Keys(context.Context) ([]Key, error) {
+	return s.cache.keys(), nil
 }
 
 // Fetch implements HandoffBackend.
@@ -588,15 +587,7 @@ func registerHandoffRoutes(mux *http.ServeMux, hb HandoffBackend) {
 			httpError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		lo, hi := uint64(0), ^uint64(0)
-		if rng := r.URL.Query().Get("range"); rng != "" {
-			var err error
-			if lo, hi, err = parseKeyRange(rng); err != nil {
-				httpError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-		}
-		keys, err := hb.Keys(r.Context(), lo, hi)
+		keys, err := hb.Keys(r.Context())
 		if err != nil {
 			writeError(w, err)
 			return
@@ -639,22 +630,6 @@ func registerHandoffRoutes(mux *http.ServeMux, hb HandoffBackend) {
 		}
 		writeJSON(w, &IngestResponse{Ingested: n})
 	})
-}
-
-// parseKeyRange parses the "?range=lo-hi" query form: two 16-digit hex ring
-// positions. lo > hi is valid and wraps through zero (a ring arc).
-func parseKeyRange(s string) (lo, hi uint64, err error) {
-	dash := strings.IndexByte(s, '-')
-	if dash < 0 {
-		return 0, 0, fmt.Errorf("range %q: want lo-hi (hex uint64 pair)", s)
-	}
-	if lo, err = strconv.ParseUint(s[:dash], 16, 64); err != nil {
-		return 0, 0, fmt.Errorf("range %q: %v", s, err)
-	}
-	if hi, err = strconv.ParseUint(s[dash+1:], 16, 64); err != nil {
-		return 0, 0, fmt.Errorf("range %q: %v", s, err)
-	}
-	return lo, hi, nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

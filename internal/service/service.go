@@ -129,11 +129,8 @@ type MetricsBackend interface {
 // None of the three operations touch the hit/miss/canceled candidate
 // accounting: they move cache contents, they do not serve candidates.
 type HandoffBackend interface {
-	// Keys lists the cache keys this node can serve whose ring position
-	// (keyPos: the first 8 bytes of the sha256 key, big-endian) lies in
-	// [lo, hi]; lo > hi wraps through zero, so one ring arc is one range.
-	// Keys(ctx, 0, ^uint64(0)) lists everything.
-	Keys(ctx context.Context, lo, hi uint64) ([]Key, error)
+	// Keys lists every cache key this node can serve.
+	Keys(ctx context.Context) ([]Key, error)
 	// Fetch bulk-reads stored results; keys the node no longer holds are
 	// silently dropped from the reply.
 	Fetch(ctx context.Context, keys []Key) ([]Entry, error)
@@ -253,15 +250,12 @@ type Config struct {
 	// WorkersPerArch is the simulator parallelism per shard (default 4 —
 	// the paper's n_parallel default).
 	WorkersPerArch int
-	// CacheCapacity is the legacy name for the resident result bound
-	// (default 1<<18). It is consulted only when MaxResidentResults is 0.
-	CacheCapacity int
 	// MaxResidentResults bounds how many results the cache keeps resident
-	// in RAM (the ARC bound; 0 falls back to CacheCapacity and its default,
-	// negative is a configuration error). The durable layer below it is
-	// unbounded — disk records are the corpus the fleet paid simulations
-	// for, and a key evicted from RAM is served from its segment record at
-	// disk-hit rate, never re-simulated.
+	// in RAM (the ARC bound; default 1<<18, negative is a configuration
+	// error). The durable layer below it is unbounded — disk records are
+	// the corpus the fleet paid simulations for, and a key evicted from RAM
+	// is served from its segment record at disk-hit rate, never
+	// re-simulated.
 	MaxResidentResults int
 	// CacheDir, when non-empty, enables the durable result store: computed
 	// results are written behind to an append-only segment log under this
@@ -273,8 +267,7 @@ type Config struct {
 	CacheSegmentBytes int64
 	// StoreWrapFile, when non-nil, wraps every segment file the durable
 	// store opens — the fault-injection seam the chaos harness uses to
-	// exercise short writes and fsync failures (see StoreFaults). Leave nil
-	// in production.
+	// exercise short writes and fsync failures. Leave nil in production.
 	StoreWrapFile func(*os.File) StoreFile
 	// MaxQueuedCandidates bounds the candidates a server will hold admitted
 	// (queued or running) across all shards at once — the admission gate in
@@ -327,11 +320,8 @@ func (c *Config) defaults() {
 	if c.WorkersPerArch <= 0 {
 		c.WorkersPerArch = 4
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 1 << 18
-	}
 	if c.MaxResidentResults == 0 {
-		c.MaxResidentResults = c.CacheCapacity
+		c.MaxResidentResults = 1 << 18
 	}
 	if c.MaxQueuedCandidates <= 0 {
 		c.MaxQueuedCandidates = 1 << 16

@@ -430,32 +430,18 @@ func (s *Store) Bytes() (live, total int64) {
 	return s.liveBytes, s.totalBytes
 }
 
-// Keys lists the stored keys whose ring position falls in [lo, hi]
-// (wrapping when lo > hi, so a ring arc that crosses zero is one range).
-func (s *Store) Keys(lo, hi uint64) []Key {
+// Keys lists every stored key, flushed or still pending.
+func (s *Store) Keys() []Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Key, 0, len(s.index)+len(s.pending))
 	for k := range s.index {
-		if posInRange(keyPos(k), lo, hi) {
-			out = append(out, k)
-		}
+		out = append(out, k)
 	}
 	for k := range s.pending {
-		if posInRange(keyPos(k), lo, hi) {
-			out = append(out, k)
-		}
+		out = append(out, k)
 	}
 	return out
-}
-
-// posInRange reports lo <= pos <= hi on the ring: a range with lo > hi
-// wraps through zero.
-func posInRange(pos, lo, hi uint64) bool {
-	if lo <= hi {
-		return lo <= pos && pos <= hi
-	}
-	return pos >= lo || pos <= hi
 }
 
 // Flush blocks until every append queued before it is on disk and synced.

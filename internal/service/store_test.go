@@ -376,34 +376,6 @@ func TestStorePutIdempotent(t *testing.T) {
 	}
 }
 
-// TestStoreKeysRange pins the ring-range filter, including the wrapping
-// form (lo > hi) that a ring arc crossing zero produces.
-func TestStoreKeysRange(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, StoreOptions{})
-	defer s.Close()
-	const n = 32
-	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testResult(i))
-	}
-	all := s.Keys(0, ^uint64(0))
-	if len(all) != n {
-		t.Fatalf("full range lists %d keys, want %d", len(all), n)
-	}
-	// Split the space at an arbitrary pivot: the two halves partition it.
-	const pivot = uint64(1) << 63
-	low := s.Keys(0, pivot-1)
-	high := s.Keys(pivot, ^uint64(0))
-	if len(low)+len(high) != n {
-		t.Fatalf("range split loses keys: %d + %d != %d", len(low), len(high), n)
-	}
-	// A wrapping range is the complement of its inverse interior.
-	wrapped := s.Keys(pivot, pivot-1) // everything
-	if len(wrapped) != n {
-		t.Fatalf("wrapping full range lists %d keys, want %d", len(wrapped), n)
-	}
-}
-
 // TestBackgroundCompactionTriggersOffOpenPath: a log carrying well over the
 // dead-bytes threshold compacts on the writer goroutine after open — with
 // no Compact() call and no blocking of the open path — while every live key

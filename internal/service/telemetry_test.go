@@ -262,7 +262,7 @@ func TestTraceSurvivesReroute(t *testing.T) {
 		hot[i] = &overloadBackend{Backend: servers[i], hint: time.Millisecond}
 		backends[i] = hot[i]
 	}
-	rt, err := NewRouterBackends(ids, backends, RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+	rt, err := NewRouterBackends(ids, backends, RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestTraceSurvivesReroute(t *testing.T) {
 		}
 	}
 	if hot[0].rejected == 0 {
-		t.Skip("hash ring sent nothing to the saturated node with these keys")
+		t.Fatal("hash ring sent nothing to the saturated node with these keys")
 	}
 
 	rtraces := rt.tel.traces.Find(id)
@@ -329,7 +329,7 @@ func TestRouterMetricsMergeIsExact(t *testing.T) {
 		backends[i] = servers[i]
 	}
 	rt, err := NewRouterBackends([]string{"node-a", "node-b"}, backends,
-		RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+		RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
