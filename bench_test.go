@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ansor"
 	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/hw"
@@ -239,6 +240,51 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSimulatorMix measures simulation speed on the traffic a tuner
+// sends rather than on the default schedule: a seeded mix of
+// ansor.RandomSketches candidates of the held-out small conv group 3, per
+// architecture, each simulated on its Table I hierarchy. Besides instr/s it
+// reports the mix's aggregate events/instr and the worst candidate's
+// events/instr, the deterministic aggregation proxies.
+func BenchmarkSimulatorMix(b *testing.B) {
+	const sketches = 16
+	for _, arch := range isa.Archs() {
+		b.Run(string(arch), func(b *testing.B) {
+			scheds, err := ansor.RandomSketches(func() *te.Workload {
+				return te.ConvGroup(te.ScaleSmall, 3)
+			}, sketches, num.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var progs []*lower.Program
+			for _, s := range scheds {
+				if prog, err := lower.Build(s, isa.Lookup(arch)); err == nil {
+					progs = append(progs, prog)
+				}
+			}
+			caches := hw.Lookup(arch).Caches
+			var instrs, events uint64
+			worst := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, prog := range progs {
+					st, err := sim.Run(prog, caches)
+					if err != nil {
+						b.Fatal(err)
+					}
+					instrs += st.Total
+					events += st.SinkEvents
+					worst = max(worst, float64(st.SinkEvents)/float64(st.Total))
+				}
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+			b.ReportMetric(float64(events)/float64(instrs), "events/instr")
+			b.ReportMetric(worst, "worst-events/instr")
+		})
+	}
 }
 
 // mustBenchServer builds a service node (the error path is store-only and

@@ -122,61 +122,48 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 		p.epiFLOPs = te.CountFLOPs(op.Epilogue)
 	}
 
-	// --- Inner-loop strength-reduction strides. ---
+	// --- Walker affine table. ---
 	if nl := len(p.levels); nl > 0 {
-		d := nl - 1
-		for _, g := range p.levels[d].Guards {
-			p.innerGuardStep = append(p.innerGuardStep, g.Value.coefOf(d))
+		for _, g := range p.levels[nl-1].Guards {
+			p.affines = append(p.affines, g.Value)
 		}
-		dimOff := 0
 		for _, site := range p.bodyLoads {
-			p.innerElemStep = append(p.innerElemStep, site.Elem.coefOf(d))
-			p.innerDimOff = append(p.innerDimOff, dimOff)
-			ds := make([]int, len(site.Dims))
-			for k := range site.Dims {
-				ds[k] = site.Dims[k].coefOf(d)
-			}
-			p.innerDimStep = append(p.innerDimStep, ds)
+			p.affines = append(p.affines, site.Elem)
+		}
+		for _, site := range p.bodyLoads {
+			p.dimAt = append(p.dimAt, len(p.affines))
 			if site.CanOOB {
-				dimOff += len(site.Dims)
+				p.affines = append(p.affines, site.Dims...)
 			}
 		}
-		p.innerDimOff = append(p.innerDimOff, dimOff)
-		p.innerTileStep = p.tileStride[d]
-		if nl >= 2 {
-			dp := nl - 2
-			for _, g := range p.levels[d].Guards {
-				p.parentGuardStep = append(p.parentGuardStep, g.Value.coefOf(dp))
-			}
-			for _, site := range p.bodyLoads {
-				p.parentElemStep = append(p.parentElemStep, site.Elem.coefOf(dp))
-				if site.CanOOB {
-					for k := range site.Dims {
-						p.parentDimStep = append(p.parentDimStep, site.Dims[k].coefOf(dp))
-					}
-				}
-			}
-			p.parentTileStep = p.tileStride[dp]
+		tile := levelAffine{}
+		for k, li := range p.tileLevels {
+			tile.Terms = append(tile.Terms, coefTerm{Level: li, Coef: p.tileStrideList[k]})
 		}
-		if nl >= 3 {
-			dg := nl - 3
-			for _, g := range p.levels[d].Guards {
-				p.grandGuardStep = append(p.grandGuardStep, g.Value.coefOf(dg))
+		p.affines = append(p.affines, tile)
+		nv := len(p.affines)
+		deepMin, deepMax := make([]int, nv), make([]int, nv)
+		// plain: this level and every level below it; wide: the levels
+		// below it of extent > 1.
+		plain, wide := true, 0
+		for d := nl - 1; d >= p.reduceStart; d-- {
+			lv := p.levels[d]
+			row := make([]int, 3*nv)
+			lv.Step, lv.DeepMin, lv.DeepMax = row[:nv], row[nv:2*nv], row[2*nv:]
+			copy(lv.DeepMin, deepMin)
+			copy(lv.DeepMax, deepMax)
+			for j, a := range p.affines {
+				lv.Step[j] = a.coefOf(d)
+				span := lv.Step[j] * (lv.Extent - 1)
+				deepMin[j] += min(span, 0)
+				deepMax[j] += max(span, 0)
 			}
-			for _, site := range p.bodyLoads {
-				p.grandElemStep = append(p.grandElemStep, site.Elem.coefOf(dg))
-				if site.CanOOB {
-					for k := range site.Dims {
-						p.grandDimStep = append(p.grandDimStep, site.Dims[k].coefOf(dg))
-					}
-				}
+			plain = plain && !lv.Unrolled && !lv.Vector &&
+				(d == nl-1 || len(lv.Guards)+len(lv.Hoisted) == 0)
+			lv.Box = plain && wide <= 2
+			if lv.Extent > 1 {
+				wide++
 			}
-			p.grandTileStep = p.tileStride[dg]
-		}
-	}
-	for _, lv := range p.levels {
-		if len(lv.Guards) > p.maxGuards {
-			p.maxGuards = len(lv.Guards)
 		}
 	}
 

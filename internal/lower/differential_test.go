@@ -6,9 +6,11 @@ package lower_test
 // instruction) — the aggregation is an encoding change, not a model change.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/ansor"
 	"repro/internal/cache"
 	"repro/internal/hw"
 	"repro/internal/isa"
@@ -87,8 +89,8 @@ func diffCases() []diffCase {
 		}},
 		{"matmul-reduce-3deep", func(t *testing.T) (*te.Workload, *schedule.Schedule) {
 			// k split twice gives a 3-deep all-reduce tail (ko, ki, kii):
-			// the grandparent-of-inner path with its 3D nest-box
-			// aggregation, including guarded split tails (10 % 4 != 0).
+			// boxes spanning three reduce levels, including guarded split
+			// tails (10 % 4 != 0).
 			wl := te.MatMul(9, 7, 10)
 			s := schedule.New(wl.Op)
 			_, ki, err := s.Split(s.Leaves[2], 4)
@@ -102,8 +104,8 @@ func diffCases() []diffCase {
 		}},
 		{"conv-strided-3deep", func(t *testing.T) (*te.Workload, *schedule.Schedule) {
 			// Stride-2 padded conv: boundary rows clip kh/kw asymmetrically,
-			// so 3D boxes, 2D rectangles and per-row segment fallbacks all
-			// fire within one execution.
+			// so boxes at every depth and per-iteration fallbacks for mixed
+			// pieces all fire within one execution.
 			wl := te.ConvGroup(te.ScaleTiny, 2)
 			return wl, schedule.New(wl.Op)
 		}},
@@ -120,17 +122,68 @@ func diffCases() []diffCase {
 	}
 }
 
+// sketchCases draws tuner-shaped schedules as differential cases:
+// ansor.RandomSketches of every tiny conv group, a matmul and a dense layer.
+// They build the deep nests of extent-1 levels, unrolled levels and hoisted
+// parents that a tuner sends and that neither the hand-built cases nor
+// randomScheduleSteps reach. Sketches the code generator rejects are
+// dropped, as a tuner drops failed builds.
+func sketchCases(t *testing.T) []diffCase {
+	t.Helper()
+	type source struct {
+		name string
+		wl   func() *te.Workload
+	}
+	var sources []source
+	for g := 0; g < te.NumConvGroups; g++ {
+		g := g
+		sources = append(sources, source{fmt.Sprintf("conv%d", g), func() *te.Workload { return te.ConvGroup(te.ScaleTiny, g) }})
+	}
+	sources = append(sources,
+		source{"matmul", func() *te.Workload { return te.MatMul(12, 9, 11) }},
+		source{"dense", func() *te.Workload { return te.DenseBiasRelu(3, 17, 5) }})
+	var out []diffCase
+	for si, src := range sources {
+		scheds, err := ansor.RandomSketches(src.wl, 4, num.NewRNG(uint64(500+si)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	sketch:
+		for i, s := range scheds {
+			for _, arch := range isa.Archs() {
+				if _, err := lower.Build(s, isa.Lookup(arch)); err != nil {
+					continue sketch
+				}
+			}
+			steps, wl := s.Steps, src.wl
+			out = append(out, diffCase{fmt.Sprintf("sketch-%s-%d", src.name, i), func(t *testing.T) (*te.Workload, *schedule.Schedule) {
+				w := wl()
+				s, err := schedule.Replay(w.Op, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w, s
+			}})
+		}
+	}
+	return out
+}
+
+// tinyL1D is an 8-set 1-way L1D: working sets overflow it constantly, so
+// resident-span fast paths reject and the scalar replay evicts mid-span.
+var tinyL1D = cache.HierarchyConfig{
+	L1D: cache.Config{Name: "L1D", SizeBytes: 8 * 64, LineBytes: 64, Assoc: 1},
+	L1I: cache.Config{Name: "L1I", SizeBytes: 1024, LineBytes: 64, Assoc: 2},
+	L2:  cache.Config{Name: "L2", SizeBytes: 8 * 1024, LineBytes: 64, Assoc: 2},
+}
+
 // TestBlockAggregationTinyCacheBitIdentical re-runs every differential case
 // against a deliberately tiny L1D (8 sets × 1 way): working sets overflow
 // sets constantly, so the resident fast path rejects most spans
 // mid-execution and the scalar replay evicts — the mixed fast/slow
 // interleaving must still be bit-identical to the per-instruction stream.
 func TestBlockAggregationTinyCacheBitIdentical(t *testing.T) {
-	tiny := cache.HierarchyConfig{
-		L1D: cache.Config{Name: "L1D", SizeBytes: 8 * 64, LineBytes: 64, Assoc: 1},
-		L1I: cache.Config{Name: "L1I", SizeBytes: 1024, LineBytes: 64, Assoc: 2},
-		L2:  cache.Config{Name: "L2", SizeBytes: 8 * 1024, LineBytes: 64, Assoc: 2},
-	}
+	tiny := tinyL1D
 	runOne := func(t *testing.T, tc diffCase, exec func(*lower.Program, lower.Sink, bool)) *sim.Stats {
 		_, s := tc.build(t)
 		prog, err := lower.Build(s, isa.Lookup(isa.RISCV))
@@ -147,7 +200,7 @@ func TestBlockAggregationTinyCacheBitIdentical(t *testing.T) {
 		}
 		return m.Stats()
 	}
-	for _, tc := range diffCases() {
+	for _, tc := range append(diffCases(), sketchCases(t)...) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runOne(t, tc, lower.ExecutePerInstruction)
 			agg := runOne(t, tc, lower.Execute)
@@ -187,10 +240,10 @@ func runBoth(t *testing.T, tc diffCase, arch isa.Arch, compute bool,
 }
 
 // TestBlockAggregationRandomSchedules fuzzes the same bit-identity property
-// over random split/reorder/annotation mixes: the executor's fast paths
-// (segmented spans, parent hoisting, per-iteration strength reduction) are
-// gated on schedule shape, so random schedules exercise gate combinations
-// the hand-picked cases miss.
+// over random split/reorder/annotation mixes and the tuner-shaped sketch
+// cases: the walker's choices (which levels box, where pieces are cut,
+// which levels and pieces run per iteration) depend on schedule shape, so
+// these exercise combinations the hand-picked cases miss.
 func TestBlockAggregationRandomSchedules(t *testing.T) {
 	rng := num.NewRNG(404)
 	for trial := 0; trial < 60; trial++ {
@@ -224,6 +277,20 @@ func TestBlockAggregationRandomSchedules(t *testing.T) {
 		}
 		if refHW.Cycles() != aggHW.Cycles() || refHW.Mispredicts() != aggHW.Mispredicts() {
 			t.Fatalf("trial %d (%s): hw cycles/mispredicts differ", trial, arch)
+		}
+	}
+	for i, tc := range sketchCases(t) {
+		arch := isa.Archs()[i%3]
+		refStats, refHW := runBoth(t, tc, arch, false, lower.ExecutePerInstruction)
+		aggStats, aggHW := runBoth(t, tc, arch, false, lower.Execute)
+		refStats.SimWallSeconds, aggStats.SimWallSeconds = 0, 0
+		refStats.SinkEvents, aggStats.SinkEvents = 0, 0
+		if !reflect.DeepEqual(refStats, aggStats) {
+			t.Fatalf("%s (%s): sim stats differ:\nper-instr: %+v\naggregated: %+v",
+				tc.name, arch, refStats, aggStats)
+		}
+		if refHW.Cycles() != aggHW.Cycles() || refHW.Mispredicts() != aggHW.Mispredicts() {
+			t.Fatalf("%s (%s): hw cycles/mispredicts differ", tc.name, arch)
 		}
 	}
 }

@@ -30,15 +30,15 @@
 //     a per-instruction walk would have fetched a new L1I line). Order is
 //     significant — data accesses and fetch misses share the L2 — and is
 //     bit-identical to the per-instruction stream's cache access order.
-//   - ConsumeLoop(run): a uniform loop span — Planes × Rows × Count
-//     iterations whose guard outcomes, padding checks and spill status the
-//     executor has proven constant — shipped as one message of strided
-//     access sites. Plain inner-loop spans have Rows = Planes = 1; a
-//     uniform parent×inner nest rectangle raises Rows, and a uniform
-//     grandparent×parent×inner nest box raises Planes, so whole 3D loop
-//     nests arrive as a single protocol event. The sink replays the
+//   - ConsumeLoop(run): a uniform box — Planes × Rows × Count iterations
+//     whose guard outcomes, padding checks and spill status the executor
+//     has proven constant — shipped as one message of strided access
+//     sites. The executor's walker builds boxes from any loop level of the
+//     reduction subtree: a range of that level's iterations together with
+//     the whole nest below it, whose levels of extent > 1 (at most three)
+//     become Count, Rows and Planes, innermost first. The sink replays the
 //     accesses in interleaved iteration order, which is exactly the order
-//     the span's per-event stream would have had. ConsumeLoop calls are
+//     the box's per-event stream would have had. ConsumeLoop calls are
 //     ordered relative to Consume batches.
 //   - ConsumeCounts(counts): bulk per-class instruction counts plus flagged-
 //     branch tallies (loop exits, guard branches) aggregated over the whole
@@ -128,17 +128,16 @@ type Counts struct {
 // cache.Hierarchy.DataRun without copying.
 type LoopSite = cache.RunSite
 
-// LoopRun describes a uniform loop span: Planes × Rows × Count iterations
-// that each access the Sites in order, with every site's address advancing
-// by Step per inner iteration, RowStep per row and PlaneStep per plane.
+// LoopRun describes a uniform box: Planes × Rows × Count iterations that
+// each access the Sites in order, with every site's address advancing by
+// Step per iteration, RowStep per row and PlaneStep per plane.
 // Replaying `for k in [0,Planes): for j in [0,Rows): for i in [0,Count):
 // for s in Sites: access(s.Addr + k*s.PlaneStep + j*s.RowStep + i*s.Step)`
-// is bit-identical to the interleaved per-event stream the span would
+// is bit-identical to the interleaved per-event stream the box would
 // otherwise emit — the executor proves uniformity (guards, padding checks
-// and spill status constant across the span) before emitting one. Rows and
-// Planes are 1 for plain inner-loop spans; Rows > 1 covers a uniform
-// parent×inner nest rectangle and Planes > 1 a uniform three-level
-// grandparent×parent×inner nest box. The struct is only valid during the
+// and spill status constant across the box) before emitting one. The three
+// dimensions are the box's loop levels of extent > 1, innermost first;
+// unused ones have extent 1. The struct is only valid during the
 // ConsumeLoop call.
 type LoopRun struct {
 	Count  int

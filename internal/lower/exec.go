@@ -37,21 +37,22 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 		lastLine: noLine,
 		ib:       uint64(p.Model.InstBytes),
 	}
-	if !computeValues && !perInstr && len(p.levels) > 0 && p.reduceStart < len(p.levels) {
-		// Scratch of the fast inner loop, one backing array: guard bases and
-		// intervals, site bases and intervals, flattened dim bases, cuts.
-		ns := len(p.bodyLoads)
-		nd := p.innerDimOff[ns]
-		ncuts := 2 + 2*p.maxGuards + 2*ns + 2
-		back := make([]int, 3*p.maxGuards+3*ns+nd+ncuts)
-		c.innerGuardBase, back = back[:p.maxGuards], back[p.maxGuards:]
-		c.innerGuardLo, back = back[:p.maxGuards], back[p.maxGuards:]
-		c.innerGuardHi, back = back[:p.maxGuards], back[p.maxGuards:]
-		c.innerElemBase, back = back[:ns], back[ns:]
-		c.innerSiteLo, back = back[:ns], back[ns:]
-		c.innerSiteHi, back = back[:ns], back[ns:]
-		c.innerDimBase, back = back[:nd], back[nd:]
-		c.innerCuts = back[:0:ncuts]
+	if nl := len(p.levels); !computeValues && !perInstr && p.reduceStart < nl && !p.levels[nl-1].Vector {
+		// Walker scratch per level of the reduction subtree: its affine
+		// vector, cut list and verdicts (one per inner guard, body load and
+		// the spill condition), plus a zero step row.
+		nv := len(p.affines)
+		nc := len(p.levels[nl-1].Guards) + len(p.bodyLoads) + 1
+		back := make([]int, (nl-p.reduceStart)*(nv+4*nc+2)+nv)
+		verdicts := make([]verdict, (nl-p.reduceStart)*nc)
+		c.rows = make([]walkRow, nl)
+		for l := p.reduceStart; l < nl; l++ {
+			r := &c.rows[l]
+			r.cur, back = back[:nv], back[nv:]
+			r.cuts, back = back[:0:4*nc+2], back[4*nc+2:]
+			r.verdicts, verdicts = verdicts[:nc], verdicts[nc:]
+		}
+		c.zero = back
 	}
 	if computeValues {
 		p.Op.Out.Alloc()
@@ -103,18 +104,18 @@ type execCtx struct {
 	pc       uint64
 	ib       uint64
 
-	// Scratch of the strength-reduced inner loop: affine base values at
-	// iteration 0 and the uniform-span machinery, re-used across inner-loop
-	// invocations.
-	innerGuardBase []int
-	innerElemBase  []int
-	innerDimBase   []int
-	innerCuts      []int
-	innerGuardLo   []int
-	innerGuardHi   []int
-	innerSiteLo    []int
-	innerSiteHi    []int
-	loopRun        LoopRun
+	// Walker scratch (nil when the walker is off): per level, the affine
+	// vector at iteration 0 of the level's current run, its cut list and
+	// verdicts; zero is an all-zero step row.
+	rows    []walkRow
+	zero    []int
+	loopRun LoopRun
+}
+
+// walkRow is one level's walker scratch.
+type walkRow struct {
+	cur, cuts []int
+	verdicts  []verdict
 }
 
 // fetchLine emits an EvFetch event when the current PC has crossed onto a
@@ -179,559 +180,303 @@ func (c *execCtx) mem(class isa.Class, addr uint64, size uint16) {
 	c.pc += c.ib
 }
 
-// instFast emits one unflagged non-memory instruction in the aggregated
-// encoding (fast-path helper; branch-flag tallies are handled by the
-// caller).
-func (c *execCtx) instFast(class isa.Class) {
-	c.counts.ByClass[class]++
-	c.fetchLine()
-	c.pc += c.ib
+// hoist evaluates the walker's affine vector (Program.affines) at
+// iteration 0 of level e and of every level below it, reading rather than
+// clobbering the deeper levels' values: those keep their last values, which
+// guard and hoisted-load evaluations see, as on the generic path.
+func (c *execCtx) hoist(e int) {
+	cur := c.rows[e].cur
+	for j, a := range c.p.affines {
+		v := a.Const
+		for _, t := range a.Terms {
+			if t.Level < e {
+				v += t.Coef * c.vals[t.Level]
+			}
+		}
+		cur[j] = v
+	}
 }
 
-// runInnerScalarFast executes the innermost non-vector loop of a reduction
-// body in statistics-only mode. Instead of re-evaluating guard, element and
-// dimension affines at every point, it evaluates them once at iteration 0
-// and advances the precomputed per-iteration strides (Program.inner*Step) —
-// classic strength reduction. Loops whose iteration block stays on one
-// I-line additionally run segment-wise: affine guard/padding/spill
-// conditions partition the iteration space into uniform spans, and each
-// span's data accesses ship as a single LoopRun. Both variants emit streams
-// bit-identical to the generic path.
-func (c *execCtx) runInnerScalarFast(d int, lv *level, blockBase uint64) {
-	p := c.p
-	c.vals[d] = 0
-	gb := c.innerGuardBase[:len(lv.Guards)]
-	for gi := range lv.Guards {
-		gb[gi] = lv.Guards[gi].Value.eval(c.vals)
-	}
-	eb := c.innerElemBase
-	db := c.innerDimBase
-	di := 0
-	for si, site := range p.bodyLoads {
-		eb[si] = site.Elem.eval(c.vals)
-		if site.CanOOB {
-			for k := range site.Dims {
-				db[di+k] = site.Dims[k].eval(c.vals)
-			}
-			di += len(site.Dims)
+// walk executes every iteration of level d of the reduction subtree in
+// statistics-only mode, with rows[d].cur holding the affine vector at the
+// level's iteration 0. A Box level whose iteration block lies on one I-line
+// is cut into pieces over which every guard, padding and spill condition of
+// the nest below holds throughout, fails throughout or is mixed: uniform
+// pieces ship as boxes, mixed ones run per iteration. Other levels run per
+// iteration, the innermost one through runInnerIter. The emitted stream is
+// bit-identical to the generic path (TestBlockAggregationBitIdentical).
+func (c *execCtx) walk(d int, blockBase uint64) {
+	lv := c.p.levels[d]
+	if !lv.Box || blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
+		if d == len(c.p.levels)-1 {
+			c.runInnerIter(d, lv, blockBase)
+		} else {
+			c.runIters(d, blockBase, 0, lv.Extent)
 		}
-	}
-	tile := 0
-	if len(p.tileLevels) > 0 {
-		tile = c.tileIdx() // vals[d] is 0: the base of the tile index
-	}
-	if !lv.Unrolled && blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63 {
-		c.runInnerSegments(d, lv, blockBase, gb, eb, db, tile)
 		return
 	}
-	c.runInnerIter(d, lv, blockBase, gb, eb, db, tile)
-}
-
-// runParentOfInner executes the parent of the innermost scalar loop,
-// keeping the child's affine bases (guards, element offsets, padding dims,
-// tile index) hoisted: they are evaluated once at the first parent
-// iteration and advanced by the Program.parent*Step deltas afterwards, so
-// the per-parent-iteration base evaluation of runInnerScalarFast vanishes.
-func (c *execCtx) runParentOfInner(d int, lv *level, blockBase uint64) {
-	p := c.p
-	child := p.levels[d+1]
-	c.vals[d] = 0
-	// Bases at (parent 0, child 0): evaluate at the current child value and
-	// subtract its contribution instead of clobbering vals[d+1] — the
-	// generic path leaves the child's last value visible to the parent's
-	// guard/hoisted evaluations, and bit-identity includes that.
-	cv := c.vals[d+1]
-	gb := c.innerGuardBase[:len(child.Guards)]
-	for gi := range child.Guards {
-		gb[gi] = child.Guards[gi].Value.eval(c.vals) - cv*p.innerGuardStep[gi]
-	}
-	eb := c.innerElemBase
-	db := c.innerDimBase
-	di := 0
-	for si, site := range p.bodyLoads {
-		eb[si] = site.Elem.eval(c.vals) - cv*p.innerElemStep[si]
-		if site.CanOOB {
-			steps := p.innerDimStep[si]
-			for k := range site.Dims {
-				db[di+k] = site.Dims[k].eval(c.vals) - cv*steps[k]
-			}
-			di += len(site.Dims)
+	cuts := c.cutPoints(d)
+	for ci := 0; ci+1 < len(cuts); ci++ {
+		if a, b := cuts[ci], cuts[ci+1]; a < b && !c.box(d, blockBase, a, b) {
+			c.runIters(d, blockBase, a, b)
 		}
-	}
-	tile := 0
-	if len(p.tileLevels) > 0 {
-		tile = c.tileIdx() - cv*p.innerTileStep
-	}
-	c.runParentRows(d, lv, child, blockBase, gb, eb, db, tile)
-}
-
-// runParentRows is the row loop of runParentOfInner: it executes all
-// parent iterations given child affine bases positioned at (parent 0,
-// inner 0), advancing the bases by the parent strides as it goes (they end
-// up advanced by Extent×parent-step). Factored out so the grandparent path
-// can drive it per plane with bases it has hoisted one level further.
-func (c *execCtx) runParentRows(d int, lv, child *level, blockBase uint64, gb, eb, db []int, tile int) {
-	p := c.p
-	nd := p.innerDimOff[len(p.bodyLoads)]
-	// 2D aggregation: when the parent is plain (no guards/hoisted loads, not
-	// unrolled, single I-line, no spill traffic) and every affine condition
-	// depends on at most one of the two levels, the pass region of the
-	// parent×inner nest is a rectangle of rows with an identical inner
-	// pattern — those rows ship as one two-dimensional LoopRun.
-	j2lo, j2hi := 0, 0
-	if len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled &&
-		!child.Unrolled && p.spillRegs == 0 &&
-		blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63 {
-		j2lo, j2hi = c.nest2DRows(lv, child, gb, db)
-	}
-	for i := 0; i < lv.Extent; i++ {
-		if i == j2lo && j2hi > j2lo {
-			rows := j2hi - j2lo
-			if c.runNestBlock(lv, child, blockBase, gb, eb, db, rows, 1, j2hi == lv.Extent, false, false) {
-				for gi := range gb {
-					gb[gi] += rows * p.parentGuardStep[gi]
-				}
-				for si := range eb {
-					eb[si] += rows * p.parentElemStep[si]
-				}
-				for j := 0; j < nd; j++ {
-					db[j] += rows * p.parentDimStep[j]
-				}
-				tile += rows * p.parentTileStep
-				c.vals[d] = j2hi - 1
-				c.vals[d+1] = child.Extent - 1
-				i = j2hi - 1
-				continue
-			}
-			j2hi = j2lo // ineligible nest shape: stay on the per-row path
-		}
-		c.vals[d] = i
-		iterBase := blockBase
-		if lv.Unrolled {
-			iterBase += uint64(i) * lv.PerIterSize
-		}
-		c.pc = iterBase
-		if c.passGuards(lv) {
-			for _, site := range lv.Hoisted {
-				c.scalarLoad(site)
-			}
-			childBase := iterBase + child.BlockOff
-			if !child.Unrolled && childBase&^63 == (childBase+child.PerIterSize-1)&^63 {
-				c.runInnerSegments(d+1, child, childBase, gb, eb, db, tile)
-			} else {
-				c.runInnerIter(d+1, child, childBase, gb, eb, db, tile)
-			}
-		}
-		if !lv.Unrolled {
-			c.instFast(isa.ALU)
-			c.instFast(isa.Branch)
-			if i == lv.Extent-1 {
-				c.counts.LoopExits++
-			}
-		}
-		// Advance the hoisted child bases to the next parent iteration
-		// (also when guards failed: the affines advance regardless).
-		for gi := range gb {
-			gb[gi] += p.parentGuardStep[gi]
-		}
-		for si := range eb {
-			eb[si] += p.parentElemStep[si]
-		}
-		for j := 0; j < nd; j++ {
-			db[j] += p.parentDimStep[j]
-		}
-		tile += p.parentTileStep
 	}
 }
 
-// nest2DRows returns the parent-iteration range over which the parent×inner
-// nest is rectangle-uniform: every condition that varies with the parent
-// level must not also vary with the inner level (no diagonal boundaries)
-// and must pass throughout the returned rows. An empty range means no 2D
-// aggregation.
-func (c *execCtx) nest2DRows(lv, child *level, gb, db []int) (int, int) {
-	p := c.p
-	pExt := lv.Extent
-	jLo, jHi := 0, pExt
-	for gi := range gb {
-		pd := p.parentGuardStep[gi]
-		if pd == 0 {
-			continue // row-constant; the block check handles it
-		}
-		if p.innerGuardStep[gi] != 0 {
-			return 0, 0
-		}
-		lo, hi := linearBelow(gb[gi], pd, child.Guards[gi].Extent, pExt)
-		if lo > jLo {
-			jLo = lo
-		}
-		if hi < jHi {
-			jHi = hi
-		}
+// verdict is one condition over the iterations [0,ext) of a level, with the
+// nest below at full range: it holds throughout on [h0,h1), fails
+// throughout on [0,f0) and [f1,ext), and is mixed elsewhere.
+type verdict struct{ h0, h1, f0, f1 int }
+
+// fail widens the fail-throughout set by [a,b), which the linear* helpers
+// return as a prefix or a suffix of [0,ext).
+func (v *verdict) fail(a, b int) {
+	if a == 0 {
+		v.f0 = max(v.f0, b)
+	} else {
+		v.f1 = min(v.f1, a)
 	}
-	di := 0
+}
+
+// at classifies iteration a.
+func (v *verdict) at(a int) (holds, fails bool) {
+	return v.h0 <= a && a < v.h1, a < v.f0 || a >= v.f1
+}
+
+// cutPoints fills level d's verdicts — guard gi at gi, body load si after
+// the guards, spill last — and returns [0,Extent) cut, sorted, at every
+// verdict boundary, so that each piece between cuts is uniform or mixed as
+// a whole. Conditions that never change add no cuts: the common uniform
+// case is one sort-free piece.
+func (c *execCtx) cutPoints(d int) []int {
+	p := c.p
+	lv := p.levels[d]
+	ext := lv.Extent
+	row := &c.rows[d]
+	v, s, lo, hi := row.cur, lv.Step, lv.DeepMin, lv.DeepMax
+	k := cutter{cuts: append(row.cuts[:0], 0, ext), ext: ext}
+	guards := p.levels[len(p.levels)-1].Guards
+	for gi, g := range guards {
+		vd := &row.verdicts[gi]
+		vd.h0, vd.h1 = linearBelow(v[gi]+hi[gi], s[gi], g.Extent, ext)
+		vd.f0, vd.f1 = 0, ext
+		vd.fail(linearAtLeast(v[gi]+lo[gi], s[gi], g.Extent, ext))
+		k.add(vd)
+	}
 	for si, site := range p.bodyLoads {
 		if !site.CanOOB {
 			continue
 		}
-		cds := p.innerDimStep[si]
-		for k := range cds {
-			pd := p.parentDimStep[di+k]
-			if pd == 0 {
+		// Loaded where every dimension is in bounds, padded where some
+		// dimension is out of bounds.
+		vd := &row.verdicts[len(guards)+si]
+		*vd = verdict{0, ext, 0, ext}
+		for dim, shape := range site.Tensor.Shape {
+			j := p.dimAt[si] + dim
+			if s[j] == 0 {
+				if v[j]+lo[j] < 0 || v[j]+hi[j] >= shape {
+					vd.h1 = 0
+				}
+				if v[j]+hi[j] < 0 || v[j]+lo[j] >= shape {
+					vd.f0 = ext
+				}
 				continue
 			}
-			if cds[k] != 0 {
-				return 0, 0
-			}
-			lo, hi := linearAtLeast(db[di+k], pd, 0, pExt)
-			if lo > jLo {
-				jLo = lo
-			}
-			if hi < jHi {
-				jHi = hi
-			}
-			lo, hi = linearBelow(db[di+k], pd, site.Tensor.Shape[k], pExt)
-			if lo > jLo {
-				jLo = lo
-			}
-			if hi < jHi {
-				jHi = hi
+			a, b := linearAtLeast(v[j]+lo[j], s[j], 0, ext)
+			vd.h0, vd.h1 = max(vd.h0, a), min(vd.h1, b)
+			a, b = linearBelow(v[j]+hi[j], s[j], shape, ext)
+			vd.h0, vd.h1 = max(vd.h0, a), min(vd.h1, b)
+			vd.fail(linearBelow(v[j]+hi[j], s[j], 0, ext))
+			vd.fail(linearAtLeast(v[j]+lo[j], s[j], shape, ext))
+		}
+		k.add(vd)
+	}
+	if p.spillRegs > 0 {
+		t := len(v) - 1
+		vd := &row.verdicts[len(row.verdicts)-1]
+		vd.h0, vd.h1 = linearAtLeast(v[t]+lo[t], s[t], p.spillFrom, ext)
+		vd.f0, vd.f1 = 0, ext
+		vd.fail(linearBelow(v[t]+hi[t], s[t], p.spillFrom, ext))
+		k.add(vd)
+	}
+	cuts := k.cuts
+	row.cuts = cuts
+	if len(cuts) > 2 {
+		// Insertion sort: the cut list is tiny and mostly sorted.
+		for i := 1; i < len(cuts); i++ {
+			for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
+				cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
 			}
 		}
-		di += len(cds)
 	}
-	return jLo, jHi
+	return cuts
 }
 
-// runGrandParentOfInner executes the grandparent of the innermost scalar
-// loop with the inner affine bases hoisted two levels: evaluated once at
-// the first plane and advanced by the Program.grand*Step deltas per
-// grandparent iteration, so the per-plane base evaluation of
-// runParentOfInner vanishes too. When the whole grandparent×parent×inner
-// nest box is uniform over a range of planes, those planes ship as one 3D
-// LoopRun (the third loop level of the rectangle aggregation); other
-// planes fall back to the 2D row machinery via runParentRows.
-func (c *execCtx) runGrandParentOfInner(d int, lv *level, blockBase uint64) {
-	p := c.p
-	parent := p.levels[d+1]
-	child := p.levels[d+2]
-	c.vals[d] = 0
-	// Bases at (grand 0, parent 0, inner 0): subtract the stale
-	// contributions of both descendant levels — their last values stay
-	// visible to guard/hoisted evaluations, as the generic path leaves them.
-	pv, cv := c.vals[d+1], c.vals[d+2]
-	gb := c.innerGuardBase[:len(child.Guards)]
-	for gi := range child.Guards {
-		gb[gi] = child.Guards[gi].Value.eval(c.vals) - pv*p.parentGuardStep[gi] - cv*p.innerGuardStep[gi]
+// cutter collects the interior cut points of [0,ext).
+type cutter struct {
+	cuts []int
+	ext  int
+}
+
+// add cuts at the boundaries of a verdict's hold and fail sets.
+func (k *cutter) add(v *verdict) {
+	k.cut(v.h0, v.h1)
+	k.cut(v.f0, v.f1)
+}
+
+// cut cuts at both ends of the interval [lo,hi); empty intervals add none.
+func (k *cutter) cut(lo, hi int) {
+	if lo >= hi {
+		return
 	}
-	eb := c.innerElemBase
-	db := c.innerDimBase
-	di := 0
-	for si, site := range p.bodyLoads {
-		eb[si] = site.Elem.eval(c.vals) - pv*p.parentElemStep[si] - cv*p.innerElemStep[si]
-		if site.CanOOB {
-			isteps := p.innerDimStep[si]
-			for k := range site.Dims {
-				db[di+k] = site.Dims[k].eval(c.vals) - pv*p.parentDimStep[di+k] - cv*isteps[k]
-			}
-			di += len(site.Dims)
-		}
+	if lo > 0 {
+		k.cuts = append(k.cuts, lo)
 	}
-	tile := 0
-	if len(p.tileLevels) > 0 {
-		tile = c.tileIdx() - pv*p.parentTileStep - cv*p.innerTileStep
-	}
-	nd := p.innerDimOff[len(p.bodyLoads)]
-	pExt := parent.Extent
-	// 3D aggregation: both enclosing levels must be plain and the whole
-	// grandparent iteration block single-I-line; nest3DPlanes then bounds
-	// the plane range over which the full parent×inner rectangle repeats.
-	k3lo, k3hi := 0, 0
-	if len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled &&
-		len(parent.Guards) == 0 && len(parent.Hoisted) == 0 && !parent.Unrolled &&
-		!child.Unrolled && p.spillRegs == 0 &&
-		blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63 {
-		k3lo, k3hi = c.nest3DPlanes(lv, parent, child, gb, db)
-	}
-	for k := 0; k < lv.Extent; k++ {
-		if k == k3lo && k3hi > k3lo {
-			planes := k3hi - k3lo
-			if c.runNestBlock(parent, child, blockBase+parent.BlockOff, gb, eb, db,
-				pExt, planes, true, true, k3hi == lv.Extent) {
-				for gi := range gb {
-					gb[gi] += planes * p.grandGuardStep[gi]
-				}
-				for si := range eb {
-					eb[si] += planes * p.grandElemStep[si]
-				}
-				for j := 0; j < nd; j++ {
-					db[j] += planes * p.grandDimStep[j]
-				}
-				tile += planes * p.grandTileStep
-				c.vals[d] = k3hi - 1
-				c.vals[d+1] = pExt - 1
-				c.vals[d+2] = child.Extent - 1
-				k = k3hi - 1
-				continue
-			}
-			k3hi = k3lo // ineligible nest shape: stay on the per-plane path
-		}
-		c.vals[d] = k
-		iterBase := blockBase
-		if lv.Unrolled {
-			iterBase += uint64(k) * lv.PerIterSize
-		}
-		c.pc = iterBase
-		if c.passGuards(lv) {
-			for _, site := range lv.Hoisted {
-				c.scalarLoad(site)
-			}
-			c.runParentRows(d+1, parent, child, iterBase+parent.BlockOff, gb, eb, db, tile)
-			// runParentRows advanced the bases across all parent rows;
-			// rewind to this plane's base before stepping to the next plane.
-			for gi := range gb {
-				gb[gi] -= pExt * p.parentGuardStep[gi]
-			}
-			for si := range eb {
-				eb[si] -= pExt * p.parentElemStep[si]
-			}
-			for j := 0; j < nd; j++ {
-				db[j] -= pExt * p.parentDimStep[j]
-			}
-		}
-		if !lv.Unrolled {
-			c.instFast(isa.ALU)
-			c.instFast(isa.Branch)
-			if k == lv.Extent-1 {
-				c.counts.LoopExits++
-			}
-		}
-		// Advance the hoisted bases to the next plane (also when guards
-		// failed: the affines advance regardless).
-		for gi := range gb {
-			gb[gi] += p.grandGuardStep[gi]
-		}
-		for si := range eb {
-			eb[si] += p.grandElemStep[si]
-		}
-		for j := 0; j < nd; j++ {
-			db[j] += p.grandDimStep[j]
-		}
-		tile += p.grandTileStep
+	if hi < k.ext {
+		k.cuts = append(k.cuts, hi)
 	}
 }
 
-// nest3DPlanes returns the grandparent-iteration range over which the
-// whole grandparent×parent×inner nest box is uniform: every affine
-// condition must vary with at most one of the three levels (no diagonal
-// boundaries), plane-varying conditions must pass throughout the returned
-// planes, and parent-varying conditions must pass for every row (a
-// partial-row rectangle cannot be plane-aggregated). An empty range means
-// no 3D aggregation.
-func (c *execCtx) nest3DPlanes(lv, parent, child *level, gb, db []int) (int, int) {
+// box executes iterations [a,b) of level d together with the whole nest
+// below them as one uniform box: bulk counts plus at most one LoopRun whose
+// Count, Rows and Planes are the box's levels of extent > 1, innermost
+// first (a Box level has at most two such levels below it). Levels of
+// extent 1 contribute only their loop overhead. It reports false, having
+// emitted nothing, when a condition is mixed over the box.
+func (c *execCtx) box(d int, blockBase uint64, a, b int) bool {
 	p := c.p
-	gExt := lv.Extent
-	pExt := parent.Extent
-	kLo, kHi := 0, gExt
-	for gi := range gb {
-		gd := p.grandGuardStep[gi]
-		pd := p.parentGuardStep[gi]
-		switch {
-		case gd != 0:
-			if pd != 0 || p.innerGuardStep[gi] != 0 {
-				return 0, 0
-			}
-			lo, hi := linearBelow(gb[gi], gd, child.Guards[gi].Extent, gExt)
-			if lo > kLo {
-				kLo = lo
-			}
-			if hi < kHi {
-				kHi = hi
-			}
-		case pd != 0:
-			if p.innerGuardStep[gi] != 0 {
-				return 0, 0
-			}
-			if lo, hi := linearBelow(gb[gi], pd, child.Guards[gi].Extent, pExt); lo != 0 || hi != pExt {
-				return 0, 0
-			}
-		default:
-			// inner-varying or constant; the block check handles it
+	nl := len(p.levels)
+	lv := p.levels[d]
+	row := &c.rows[d]
+	// LoopRun axes, innermost first, by their levels' step tables.
+	axes := [3][]int{c.zero, c.zero, c.zero}
+	axN := [3]int{1, 1, 1}
+	nax := 0
+	for l := nl - 1; l >= d; l-- {
+		n := p.levels[l].Extent
+		if l == d {
+			n = b - a
+		}
+		if n > 1 {
+			axes[nax], axN[nax] = p.levels[l].Step, n
+			nax++
 		}
 	}
-	di := 0
-	for si, site := range p.bodyLoads {
-		if !site.CanOOB {
+	// Per innermost iteration: guard pairs up to the first failing guard,
+	// then — when none fails — padding-check pairs, loads, spill traffic and
+	// the FMA burst.
+	guards := p.levels[nl-1].Guards
+	ng := uint64(len(guards))
+	failed := false
+	for gi := range guards {
+		holds, fails := row.verdicts[gi].at(a)
+		if holds {
 			continue
 		}
-		isteps := p.innerDimStep[si]
-		for k := range isteps {
-			gd := p.grandDimStep[di+k]
-			pd := p.parentDimStep[di+k]
-			switch {
-			case gd != 0:
-				if pd != 0 || isteps[k] != 0 {
-					return 0, 0
-				}
-				lo, hi := linearAtLeast(db[di+k], gd, 0, gExt)
-				if lo > kLo {
-					kLo = lo
-				}
-				if hi < kHi {
-					kHi = hi
-				}
-				lo, hi = linearBelow(db[di+k], gd, site.Tensor.Shape[k], gExt)
-				if lo > kLo {
-					kLo = lo
-				}
-				if hi < kHi {
-					kHi = hi
-				}
-			case pd != 0:
-				if isteps[k] != 0 {
-					return 0, 0
-				}
-				if lo, hi := linearAtLeast(db[di+k], pd, 0, pExt); lo != 0 || hi != pExt {
-					return 0, 0
-				}
-				if lo, hi := linearBelow(db[di+k], pd, site.Tensor.Shape[k], pExt); lo != 0 || hi != pExt {
-					return 0, 0
-				}
-			}
-		}
-		di += len(isteps)
-	}
-	return kLo, kHi
-}
-
-// runNestBlock executes planes×rows consecutive nest iterations whose
-// whole (grandparent×)parent×inner box is uniform, as bulk counts plus one
-// LoopRun. Bases must be positioned at the first block plane/row. With
-// grand=false it is the 2D rectangle path (planes must be 1): rows
-// consecutive parent iterations, parent overhead included, lastRows adding
-// the parent's own loop exit. With grand=true it covers planes whole
-// grandparent iterations (full parent extent per plane, so rows ==
-// parent.Extent): the per-plane parent loop exit and grandparent overhead
-// are counted here, and lastPlanes adds the grandparent's own loop exit.
-// Returns false when the inner range is not a single uniform segment
-// (per-row/per-plane execution handles those shapes).
-func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []int, rows, planes int, lastRows, grand, lastPlanes bool) bool {
-	p := c.p
-	cExt := child.Extent
-	// Inner guards must pass across the whole inner range.
-	for gi := range gb {
-		lo, hi := linearBelow(gb[gi], p.innerGuardStep[gi], child.Guards[gi].Extent, cExt)
-		if lo != 0 || hi != cExt {
+		if !fails {
 			return false
 		}
+		ng, failed = uint64(gi+1), true
+		break
 	}
-	// Each site must be wholly loaded or wholly padding-skipped.
 	sites := c.loopRun.Sites[:0]
-	var canOOB, loaded uint64
-	di := 0
-	for si, site := range p.bodyLoads {
-		lo, hi := 0, cExt
-		if site.CanOOB {
-			canOOB++
-			steps := p.innerDimStep[si]
-			for k := range steps {
-				klo, khi := linearAtLeast(db[di+k], steps[k], 0, cExt)
-				if klo > lo {
-					lo = klo
+	var canOOB, loaded, spill, flops uint64
+	if !failed {
+		elem := len(guards)
+		for si, site := range p.bodyLoads {
+			if site.CanOOB {
+				canOOB++
+				holds, fails := row.verdicts[elem+si].at(a)
+				if fails {
+					continue // padding: the load is skipped across the box
 				}
-				if khi < hi {
-					hi = khi
-				}
-				klo, khi = linearBelow(db[di+k], steps[k], site.Tensor.Shape[k], cExt)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
+				if !holds {
+					c.loopRun.Sites = sites
+					return false
 				}
 			}
-			di += len(steps)
-		}
-		switch {
-		case lo <= 0 && hi >= cExt:
 			loaded++
-			planeStep := int64(0)
-			if grand {
-				planeStep = int64(p.grandElemStep[si]) * tensor.ElemSize
-			}
-			sites = append(sites, LoopSite{
-				Addr:      site.Tensor.AddrOf(eb[si]),
-				Step:      int64(p.innerElemStep[si]) * tensor.ElemSize,
-				RowStep:   int64(p.parentElemStep[si]) * tensor.ElemSize,
-				PlaneStep: planeStep,
-				Size:      tensor.ElemSize,
-			})
-		case lo >= hi:
-			// padding: skipped across the whole box
-		default:
-			c.loopRun.Sites = sites
-			return false
+			j := elem + si
+			sites = append(sites, boxSite(site.Tensor.AddrOf(row.cur[j]+a*lv.Step[j]), j, &axes, false))
 		}
+		if p.spillRegs > 0 {
+			holds, fails := row.verdicts[len(row.verdicts)-1].at(a)
+			if !holds && !fails {
+				c.loopRun.Sites = sites
+				return false
+			}
+			if holds {
+				// Stream order within an iteration: body loads, spill
+				// reload, FMA burst (no data), spill writeback.
+				t := len(row.cur) - 1
+				slot := p.stackBase + uint64(row.cur[t]+a*lv.Step[t])*tensor.ElemSize
+				sites = append(sites, boxSite(slot, t, &axes, false), boxSite(slot, t, &axes, true))
+				spill = 1
+			}
+		}
+		flops = uint64(p.bodyFLOPs)
 	}
 	// One fetch covers the box: every PC lies on blockBase's line.
 	c.pc = blockBase
 	c.fetchLine()
-	ng := uint64(len(gb))
-	flops := uint64(p.bodyFLOPs)
-	// Per inner iteration: guard pairs, padding-check pairs, loads, the FMA
-	// burst and the inner loop overhead; plus parent overhead per row and —
-	// for 3D boxes — grandparent overhead per plane.
-	aluCI := ng + canOOB + 1
-	brCI := ng + canOOB + 1
-	nInstrIter := 2*ng + 2*canOOB + loaded + flops + 2
-	rowsU := uint64(rows)
-	cExtU := uint64(cExt)
-	planesU := uint64(planes)
-	aluPlane := rowsU * (cExtU*aluCI + 1)
-	brPlane := rowsU * (cExtU*brCI + 1)
-	if grand {
-		aluPlane++ // grandparent loop overhead, once per plane
-		brPlane++
-	}
-	c.counts.ByClass[isa.ALU] += planesU * aluPlane
-	c.counts.ByClass[isa.Branch] += planesU * brPlane
-	c.counts.ByClass[isa.FMA] += planesU * rowsU * cExtU * flops
-	c.counts.ByClass[isa.Load] += planesU * rowsU * cExtU * loaded
-	c.counts.GuardBranches += planesU * rowsU * cExtU * (ng + canOOB)
-	c.counts.LoopExits += planesU * rowsU // the inner loop exits once per row
-	if grand {
-		c.counts.LoopExits += planesU // the parent loop exits once per plane
-		if lastPlanes {
-			c.counts.LoopExits++ // the grandparent loop exits on its last plane
+	// Loop overhead: one ALU+branch pair per iteration of every box level;
+	// each level below d exits once per run, d itself on its last iteration.
+	var iters, over, exits uint64 = 1, 0, 0
+	innerBase := blockBase
+	for l := d; l < nl; l++ {
+		n := p.levels[l].Extent
+		if l == d {
+			n = b - a
+		} else {
+			innerBase += p.levels[l].BlockOff
+			exits += iters
 		}
-	} else if lastRows {
-		c.counts.LoopExits++ // the parent loop exits on its last row
+		iters *= uint64(n)
+		over += iters
+		c.vals[l] = n - 1 // as the per-iteration loops leave them
 	}
+	c.vals[d] = b - 1
+	if b == lv.Extent {
+		exits++
+	}
+	checks := iters * (ng + canOOB)
+	c.counts.ByClass[isa.ALU] += checks + over
+	c.counts.ByClass[isa.Branch] += checks + over
+	c.counts.ByClass[isa.FMA] += iters * flops
+	c.counts.ByClass[isa.Load] += iters * (loaded + spill)
+	c.counts.ByClass[isa.Store] += iters * spill
+	c.counts.GuardBranches += checks
+	c.counts.LoopExits += exits
+	c.loopRun.Sites = sites
 	if len(sites) > 0 {
-		c.loopRun.Count = cExt
-		c.loopRun.Rows = rows
-		c.loopRun.Planes = planes
-		c.loopRun.Sites = sites
+		c.loopRun.Count, c.loopRun.Rows, c.loopRun.Planes = axN[0], axN[1], axN[2]
 		if len(c.em.buf) > 0 {
 			c.em.flush() // keep event/loop-run ordering
 		}
 		c.em.sink.ConsumeLoop(&c.loopRun)
-	} else {
-		c.loopRun.Sites = sites
 	}
-	// As after the last row: inner loop done, then the parent overhead pair
-	// (and the grandparent pair when the block covers whole planes).
-	c.pc = blockBase + child.BlockOff + (nInstrIter+2)*c.ib
-	if grand {
-		c.pc += 2 * c.ib
-	}
+	// As after the last iteration: the innermost body, then the overhead
+	// pair of every box level.
+	nInstr := 2*ng + 2*canOOB + loaded + 2*spill + flops + 2*uint64(nl-d)
+	c.pc = innerBase + nInstr*c.ib
 	return true
 }
 
-// runInnerIter is the per-iteration strength-reduced inner loop (general
-// case: unrolled bodies and blocks spanning several I-lines).
-func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []int, tile int) {
+// boxSite is the LoopSite of affine j at addr, stepping along the box axes.
+func boxSite(addr uint64, j int, axes *[3][]int, write bool) LoopSite {
+	return LoopSite{Addr: addr, Size: tensor.ElemSize, Write: write,
+		Step:      int64(axes[0][j]) * tensor.ElemSize,
+		RowStep:   int64(axes[1][j]) * tensor.ElemSize,
+		PlaneStep: int64(axes[2][j]) * tensor.ElemSize}
+}
+
+// runInnerIter is the walker's per-iteration innermost loop (unrolled
+// bodies and blocks spanning several I-lines): the affine vector is
+// advanced by the level's steps instead of re-evaluating affines per point.
+func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 	p := c.p
+	v, s := c.rows[d].cur, lv.Step
+	elem, tile := len(lv.Guards), len(v)-1
 	spill := p.spillRegs > 0
 	flops := uint64(p.bodyFLOPs)
 	var alu, branch, fma, loads, stores, guardBr, exits uint64
@@ -750,7 +495,7 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 			c.fetchLine() // pc is at iterBase
 		}
 		pass := true
-		for gi := range gb {
+		for gi := range lv.Guards {
 			alu++
 			branch++
 			guardBr++
@@ -762,13 +507,12 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 			} else {
 				c.pc += 2 * c.ib
 			}
-			if gb[gi]+i*p.innerGuardStep[gi] >= lv.Guards[gi].Extent {
+			if v[gi]+i*s[gi] >= lv.Guards[gi].Extent {
 				pass = false
 				break
 			}
 		}
 		if pass {
-			di := 0
 			for si, site := range p.bodyLoads {
 				if site.CanOOB {
 					alu++
@@ -783,15 +527,13 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 						c.pc += 2 * c.ib
 					}
 					in := true
-					steps := p.innerDimStep[si]
-					for k := range steps {
-						v := db[di+k] + i*steps[k]
-						if v < 0 || v >= site.Tensor.Shape[k] {
+					for dim, shape := range site.Tensor.Shape {
+						j := p.dimAt[si] + dim
+						if x := v[j] + i*s[j]; x < 0 || x >= shape {
 							in = false
 							break
 						}
 					}
-					di += len(steps)
 					if !in {
 						continue
 					}
@@ -800,12 +542,12 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 				if !sameLine {
 					c.fetchLine()
 				}
-				off := eb[si] + i*p.innerElemStep[si]
+				off := v[elem+si] + i*s[elem+si]
 				c.em.emit(Event{Kind: EvData, PC: c.pc,
 					Addr: site.Tensor.AddrOf(off), Size: tensor.ElemSize, Class: isa.Load})
 				c.pc += c.ib
 			}
-			ti := tile + i*p.innerTileStep
+			ti := v[tile] + i*s[tile]
 			spilled := spill && ti >= p.spillFrom
 			if spilled {
 				loads++
@@ -847,186 +589,6 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 			}
 		}
 	}
-	c.counts.ByClass[isa.ALU] += alu
-	c.counts.ByClass[isa.Branch] += branch
-	c.counts.ByClass[isa.FMA] += fma
-	c.counts.ByClass[isa.Load] += loads
-	c.counts.ByClass[isa.Store] += stores
-	c.counts.GuardBranches += guardBr
-	c.counts.LoopExits += exits
-}
-
-// runInnerSegments executes a non-unrolled, single-I-line inner loop
-// segment-wise. Every emission decision of an iteration — guard outcomes,
-// padding checks, spill status — is an affine condition of the iteration
-// index, so its truth set is an interval. Cutting [0,Extent) at every
-// interval endpoint yields spans with a constant event pattern: counts are
-// added arithmetically per span, and the span's interleaved data accesses
-// ship as one LoopRun instead of per-iteration events.
-func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64, gb, eb, db []int, tile int) {
-	p := c.p
-	ext := lv.Extent
-	// One fetch covers the whole loop: every PC lies on blockBase's line.
-	c.pc = blockBase
-	c.fetchLine()
-	// Cut [0,ext) at every interior truth-change point of the affine
-	// conditions. Full and empty truth sets add no cuts, so the common
-	// uniform case runs as a single sort-free segment.
-	cuts := append(c.innerCuts[:0], 0, ext)
-	gLo := c.innerGuardLo
-	gHi := c.innerGuardHi
-	for gi := range gb {
-		lo, hi := linearBelow(gb[gi], p.innerGuardStep[gi], lv.Guards[gi].Extent, ext)
-		gLo[gi], gHi[gi] = lo, hi
-		if lo > 0 && lo < ext {
-			cuts = append(cuts, lo)
-		}
-		if hi > 0 && hi < ext && hi > lo {
-			cuts = append(cuts, hi)
-		}
-	}
-	sLo := c.innerSiteLo
-	sHi := c.innerSiteHi
-	di := 0
-	for si, site := range p.bodyLoads {
-		lo, hi := 0, ext
-		if site.CanOOB {
-			steps := p.innerDimStep[si]
-			for k := range steps {
-				klo, khi := linearAtLeast(db[di+k], steps[k], 0, ext)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
-				}
-				klo, khi = linearBelow(db[di+k], steps[k], site.Tensor.Shape[k], ext)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
-				}
-			}
-			di += len(steps)
-			if lo > 0 && lo < ext {
-				cuts = append(cuts, lo)
-			}
-			if hi > 0 && hi < ext && hi > lo {
-				cuts = append(cuts, hi)
-			}
-		}
-		sLo[si], sHi[si] = lo, hi
-	}
-	spLo, spHi := 0, 0
-	if p.spillRegs > 0 {
-		spLo, spHi = linearAtLeast(tile, p.innerTileStep, p.spillFrom, ext)
-		if spLo > 0 && spLo < ext {
-			cuts = append(cuts, spLo)
-		}
-		if spHi > 0 && spHi < ext && spHi > spLo {
-			cuts = append(cuts, spHi)
-		}
-	}
-	if len(cuts) > 2 {
-		// Insertion sort: the cut list is tiny and mostly sorted.
-		for i := 1; i < len(cuts); i++ {
-			for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
-				cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-			}
-		}
-	}
-	flops := uint64(p.bodyFLOPs)
-	var alu, branch, fma, loads, stores, guardBr, exits uint64
-	for ci := 0; ci+1 < len(cuts); ci++ {
-		a, b := cuts[ci], cuts[ci+1]
-		if a >= b || a < 0 || b > ext {
-			continue
-		}
-		n := uint64(b - a)
-		// Guard outcomes are constant across the span; a failing guard cuts
-		// the iteration after its own ALU+branch pair.
-		firstFail := -1
-		for gi := range gb {
-			if a < gLo[gi] || a >= gHi[gi] {
-				firstFail = gi
-				break
-			}
-		}
-		if firstFail >= 0 {
-			k := uint64(firstFail + 1)
-			alu += n * k
-			branch += n * k
-			guardBr += n * k
-			nInstr := 2 * k
-			alu += n // loop overhead (never unrolled here)
-			branch += n
-			nInstr += 2
-			c.pc = blockBase + nInstr*c.ib
-			if b == ext {
-				exits++
-			}
-			continue
-		}
-		ng := uint64(len(gb))
-		alu += n * ng
-		branch += n * ng
-		guardBr += n * ng
-		nInstr := 2 * ng
-		sites := c.loopRun.Sites[:0]
-		for si, site := range p.bodyLoads {
-			if site.CanOOB {
-				alu += n
-				branch += n
-				guardBr += n
-				nInstr += 2
-				if a < sLo[si] || a >= sHi[si] {
-					continue // padding: the load is skipped across the span
-				}
-			}
-			loads += n
-			nInstr++
-			sites = append(sites, LoopSite{
-				Addr: site.Tensor.AddrOf(eb[si] + a*p.innerElemStep[si]),
-				Step: int64(p.innerElemStep[si]) * tensor.ElemSize,
-				Size: tensor.ElemSize,
-			})
-		}
-		if p.spillRegs > 0 && a >= spLo && a < spHi {
-			slot := p.stackBase + uint64(tile+a*p.innerTileStep)*tensor.ElemSize
-			step := int64(p.innerTileStep) * tensor.ElemSize
-			loads += n
-			stores += n
-			nInstr += 2
-			// Stream order within an iteration: body loads, spill reload,
-			// FMA burst (no data), spill writeback.
-			sites = append(sites,
-				LoopSite{Addr: slot, Step: step, Size: tensor.ElemSize},
-				LoopSite{Addr: slot, Step: step, Size: tensor.ElemSize, Write: true})
-		}
-		fma += n * flops
-		nInstr += flops
-		alu += n // loop overhead
-		branch += n
-		nInstr += 2
-		if b == ext {
-			exits++
-		}
-		if len(sites) > 0 {
-			c.loopRun.Count = b - a
-			c.loopRun.Rows = 1
-			c.loopRun.Planes = 1
-			c.loopRun.Sites = sites
-			if len(c.em.buf) > 0 {
-				c.em.flush() // keep event/loop-run ordering
-			}
-			c.em.sink.ConsumeLoop(&c.loopRun)
-		} else {
-			c.loopRun.Sites = sites
-		}
-		c.pc = blockBase + nInstr*c.ib
-	}
-	c.vals[d] = ext - 1 // as the per-iteration loop leaves it
 	c.counts.ByClass[isa.ALU] += alu
 	c.counts.ByClass[isa.Branch] += branch
 	c.counts.ByClass[isa.FMA] += fma
@@ -1135,40 +697,33 @@ func (c *execCtx) blockSize(d int) uint64 {
 }
 
 // runLevel executes all iterations of level d; blockBase is the code address
-// of the level's block.
+// of the level's block. In statistics-only execution of a scalar reduction
+// body the levels of the reduction subtree run under the walker, which
+// hoists its affine vector at the subtree's entry.
 func (c *execCtx) runLevel(d int, blockBase uint64) {
 	p := c.p
 	lv := p.levels[d]
-	if lv.Vector {
+	switch {
+	case lv.Vector:
 		c.runVectorLevel(d, blockBase)
-		return
+	case c.rows == nil || d < p.reduceStart:
+		c.runIters(d, blockBase, 0, lv.Extent)
+	default:
+		if d == p.reduceStart {
+			c.hoist(d)
+		}
+		c.walk(d, blockBase)
 	}
+}
+
+// runIters executes iterations [a,b) of level d one at a time; under the
+// walker the child level's affine vector is advanced to each iteration.
+func (c *execCtx) runIters(d int, blockBase uint64, a, b int) {
+	p := c.p
+	lv := p.levels[d]
 	inner := d == len(p.levels)-1
-	if !c.compute && !c.perInstr && p.reduceStart < len(p.levels) {
-		// Hot paths: statistics-only execution of a reduction body. The
-		// strength-reduced loops emit a bit-identical stream (checked by
-		// TestBlockAggregationBitIdentical against the generic path below,
-		// which the per-instruction encoding always takes).
-		if inner {
-			c.runInnerScalarFast(d, lv, blockBase)
-			return
-		}
-		if d == len(p.levels)-2 && !p.levels[d+1].Vector && d+1 != p.reduceStart {
-			// Parent of the inner loop: hoist the inner affine bases out of
-			// this loop and advance them by the parent strides instead of
-			// re-evaluating them per iteration.
-			c.runParentOfInner(d, lv, blockBase)
-			return
-		}
-		if d == len(p.levels)-3 && !p.levels[d+1].Vector && !p.levels[d+2].Vector &&
-			d+1 != p.reduceStart && d+2 != p.reduceStart {
-			// Grandparent of the inner loop: hoist the bases one level
-			// further and aggregate uniform 3D nest boxes.
-			c.runGrandParentOfInner(d, lv, blockBase)
-			return
-		}
-	}
-	for i := 0; i < lv.Extent; i++ {
+	walking := c.rows != nil && d >= p.reduceStart
+	for i := a; i < b; i++ {
 		c.vals[d] = i
 		iterBase := blockBase
 		if lv.Unrolled {
@@ -1183,6 +738,12 @@ func (c *execCtx) runLevel(d int, blockBase uint64) {
 				c.scalarBody()
 			} else {
 				childBase := iterBase + p.levels[d+1].BlockOff
+				if walking {
+					cur, next := c.rows[d].cur, c.rows[d+1].cur
+					for j := range next {
+						next[j] = cur[j] + i*lv.Step[j]
+					}
+				}
 				if d+1 == p.reduceStart {
 					c.initBlock(childBase - p.initSize)
 				}

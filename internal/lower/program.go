@@ -91,6 +91,17 @@ type level struct {
 	// copies each occupy PerIterSize bytes).
 	BlockOff    uint64
 	PerIterSize uint64
+
+	// Step is the per-iteration delta of each entry of the walker's affine
+	// vector (Program.affines); DeepMin/DeepMax bound the contribution of
+	// the levels below this one over their full ranges. Set on the levels
+	// of the reduction subtree only.
+	Step, DeepMin, DeepMax []int
+	// Box marks a level of the reduction subtree whose iterations the
+	// walker may group into boxes: it and the levels below it are not
+	// unrolled, the ones above the innermost carry no guards or hoisted
+	// loads, and at most two levels below it have extent > 1.
+	Box bool
 }
 
 // Program is an executable lowered kernel for one ISA.
@@ -144,33 +155,13 @@ type Program struct {
 	axisTerms [][]coefTerm
 	numAxes   int
 
-	// Strength-reduction strides of the innermost level: per-iteration
-	// deltas of the inner guards' affines, each body load's element offset
-	// and tensor-dimension indices, and the tile index. The executor's fast
-	// inner loop advances these instead of re-evaluating affines per point.
-	innerGuardStep []int
-	innerElemStep  []int
-	innerDimStep   [][]int
-	// innerDimOff is the start of each body load's dims in the executor's
-	// flattened dim-base scratch; the last entry is the total dim count.
-	innerDimOff   []int
-	innerTileStep int
-	// The same strides w.r.t. the parent of the innermost level: the
-	// executor hoists the inner loop's affine bases out of the parent loop
-	// and advances them by these deltas per parent iteration.
-	parentGuardStep []int
-	parentElemStep  []int
-	parentDimStep   []int // flattened like innerDimOff
-	parentTileStep  int
-	// And w.r.t. the grandparent of the innermost level, for the 3D
-	// nest-box aggregation (bases hoisted out of the grandparent loop,
-	// advanced per plane).
-	grandGuardStep []int
-	grandElemStep  []int
-	grandDimStep   []int // flattened like innerDimOff
-	grandTileStep  int
-	// maxGuards is the largest per-level guard count (scratch sizing).
-	maxGuards int
+	// The walker's affine vector (see walk in exec.go): the innermost
+	// level's guard values, each body load's element offset, the tensor
+	// dimension indices of the CanOOB body loads (body load si's start at
+	// dimAt[si]) and the register-tile index, in that order. Each level's
+	// Step row advances it per iteration.
+	affines []levelAffine
+	dimAt   []int
 }
 
 // CodeBytes reports the static code footprint of the generated kernel, the

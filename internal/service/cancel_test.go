@@ -101,16 +101,22 @@ func TestClientDisconnectMidBatchOverHTTP(t *testing.T) {
 		Candidates: tinyCandidates(t, group, n),
 	}
 
+	// Occupy the shard's only worker slot so the batch is still queued
+	// when the client disconnects; the slot is released afterwards.
+	sh := srv.shards[isa.RISCV]
+	sh.slots <- struct{}{}
 	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
 	go func() {
-		for srv.shards[isa.RISCV].simulated.Load() == 0 {
-			runtime.Gosched()
-		}
-		cancel() // tears the client connection down mid-batch
+		_, err := NewClient(hs.URL).Simulate(ctx, req)
+		errc <- err
 	}()
-	_, err := NewClient(hs.URL).Simulate(ctx, req)
+	waitFor(t, "the batch to queue on the worker", func() bool { return sh.queued.Load() > 0 })
+	cancel() // tears the client connection down mid-batch
+	err := <-errc
+	<-sh.slots
 	if err == nil {
-		t.Skip("batch finished before the disconnect landed") // timing-dependent fast path
+		t.Fatal("batch finished despite the client disconnect")
 	}
 
 	// A fresh client re-runs the identical batch: every candidate must
