@@ -81,6 +81,11 @@ const (
 	KindWrite = 1
 )
 
+// KindFetch marks an instruction fetch in a MissFunc report. Fetches count
+// as reads in the L1I Stats; the kind only lets a miss observer tell a
+// fetch from a data read.
+const KindFetch = 2
+
 // b2i maps an access's write flag to its Stats counter index.
 func b2i(write bool) int {
 	if write {
@@ -183,6 +188,9 @@ type Cache struct {
 	// MemAccesses counts accesses this level forwarded to memory (only
 	// meaningful for the last level).
 	MemAccesses uint64
+	// miss is the L1 levels' miss observer (see Hierarchy.ObserveMisses);
+	// nil for pure simulation and on every other level.
+	miss MissFunc
 }
 
 // New builds a cache level; next may be nil for the last level.
@@ -220,16 +228,22 @@ func (c *Cache) Config() Config { return c.cfg }
 // multiple lines touch each line once. write selects the write path.
 // It returns the deepest service depth across the touched lines: 1 means
 // this level hit, 2 the next level, and so on; a miss in the last level
-// returns one beyond the level count (memory).
+// returns one beyond the level count (memory). A depth above 1 is reported
+// to the level's miss observer, if any.
 func (c *Cache) Access(addr uint64, size uint32, write bool) int {
 	w := b2i(write)
 	first := addr >> c.lineShift
+	var d int
 	if size <= 1 || (addr+uint64(size)-1)>>c.lineShift == first {
-		// Common case: the access stays within one line (kept small so the
-		// whole call inlines into the simulator hot loops).
-		return c.accessLine(first, w)
+		// Common case: the access stays within one line.
+		d = c.accessLine(first, w)
+	} else {
+		d = c.accessSpan(first, (addr+uint64(size)-1)>>c.lineShift, w)
 	}
-	return c.accessSpan(first, (addr+uint64(size)-1)>>c.lineShift, w)
+	if d > 1 && c.miss != nil {
+		c.miss(addr, w, d)
+	}
+	return d
 }
 
 func (c *Cache) accessSpan(first, last uint64, w int) int {

@@ -33,6 +33,22 @@ type Hierarchy struct {
 	touches []touch
 }
 
+// MissFunc observes one access served below L1: the accessed address, its
+// kind (KindRead, KindWrite or KindFetch) and its service depth (> 1).
+type MissFunc func(addr uint64, kind, depth int)
+
+// ObserveMisses installs f as the hierarchy's miss observer: Data, Fetch and
+// DataRun call it for every access whose service depth exceeds 1, in access
+// order. A timing model layered on the simulator charges miss latency from
+// it; pure simulation leaves it nil. Reset keeps the observer.
+func (h *Hierarchy) ObserveMisses(f MissFunc) {
+	h.L1D.miss, h.L1I.miss = f, nil
+	if f != nil {
+		// L1I accesses are all reads; report them as fetches.
+		h.L1I.miss = func(addr uint64, _, depth int) { f(addr, KindFetch, depth) }
+	}
+}
+
 // NewHierarchy builds the hierarchy from a configuration.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	var l3 *Cache
@@ -85,11 +101,12 @@ type RunSite struct {
 
 // DataRun replays planes×rows×count iterations of interleaved strided
 // accesses through the data hierarchy, in exactly the order per-access Data
-// calls would take. Living inside the cache package lets it reach accessLine
-// directly, which removes the per-access wrapper cost of the hottest
-// simulator loop. Spans whose lines are all resident in L1D take the bulk
-// resident fast path (see TryDataRunResident); the result is bit-identical
-// either way.
+// calls would take, reporting misses to the observer as Data would. Living
+// inside the cache package lets it reach accessLine directly, which removes
+// the per-access wrapper cost of the hottest simulator loop. Spans whose
+// lines are all resident in L1D take the bulk resident fast path (see
+// TryDataRunResident): they cannot miss, so the observer sees nothing; the
+// result is bit-identical either way.
 func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 	if rows < 1 {
 		rows = 1
@@ -100,7 +117,7 @@ func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 	if h.TryDataRunResident(count, rows, planes, sites) {
 		return
 	}
-	l1d := h.L1D
+	l1d, miss := h.L1D, h.L1D.miss
 	for k := 0; k < planes; k++ {
 		for j := 0; j < rows; j++ {
 			for i := 0; i < count; i++ {
@@ -109,10 +126,14 @@ func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 					addr := st.Addr + uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep+int64(i)*st.Step)
 					w := b2i(st.Write)
 					first := addr >> l1d.lineShift
+					var d int
 					if st.Size <= 1 || (addr+uint64(st.Size)-1)>>l1d.lineShift == first {
-						l1d.accessLine(first, w)
+						d = l1d.accessLine(first, w)
 					} else {
-						l1d.accessSpan(first, (addr+uint64(st.Size)-1)>>l1d.lineShift, w)
+						d = l1d.accessSpan(first, (addr+uint64(st.Size)-1)>>l1d.lineShift, w)
+					}
+					if d > 1 && miss != nil {
+						miss(addr, w, d)
 					}
 				}
 			}

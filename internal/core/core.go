@@ -95,8 +95,10 @@ func DefaultDatasetConfig(arch isa.Arch) DatasetConfig {
 }
 
 // DualRunner measures each candidate on the timing model ("native") and the
-// instruction-accurate simulator in one program execution via event fanout —
-// the training-phase setup of Fig. 4-I where workloads run in both worlds.
+// instruction-accurate simulator in one program execution — the timing
+// model is the simulator plus a miss-latency overlay, so one replay yields
+// both the cycles and the IA statistics. This is the training-phase setup of
+// Fig. 4-I where workloads run in both worlds.
 // The search score is the native reference time, so dataset generation
 // behaves like ordinary hardware autotuning.
 type DualRunner struct {
@@ -144,17 +146,11 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 			return
 		}
 		defer hw.ReleaseMachine(hwM)
-		simM, err := sim.Acquire(d.Prof.Arch, d.Prof.Caches)
-		if err != nil {
-			out[i] = runner.MeasureResult{Err: err, Score: math.Inf(1)}
-			return
-		}
-		defer sim.Release(simM)
 		start := time.Now()
-		lower.Execute(prog, lower.Fanout{hwM, simM}, false)
+		lower.Execute(prog, hwM, false)
 		simWall := time.Since(start).Seconds()
 		meas := hw.SampleMeasurement(hwM.Seconds(), hwM.Cycles(), d.Prof, d.Opt, num.NewRNG(seeds[i]))
-		st := simM.Stats()
+		st := hwM.Stats()
 		st.SimWallSeconds = simWall
 		out[i] = runner.MeasureResult{
 			Score: meas.TrefSec, TimeSec: meas.TrefSec, Stats: st,

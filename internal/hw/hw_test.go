@@ -274,6 +274,34 @@ func TestPrefetcherHelpsStreaming(t *testing.T) {
 	}
 }
 
+// TestPrefetcherTableDeterministic replays two passes of one load per page
+// over more pages than the stream detector's table holds: which pages the
+// table still remembers after it overflows decides which second-pass misses
+// count as streaming, so that choice must be a function of the stream alone.
+func TestPrefetcherTableDeterministic(t *testing.T) {
+	const pages = 5000
+	var evs []lower.Event
+	for pass := uint64(0); pass < 2; pass++ {
+		for p := uint64(0); p < pages; p++ {
+			evs = append(evs, lower.Event{Kind: lower.EvData, Class: isa.Load,
+				Addr: 1<<30 + p<<12 + pass<<6, Size: 4})
+		}
+	}
+	var want float64
+	for run := 0; run < 20; run++ {
+		m, err := NewMachine(Lookup(isa.X86))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Consume(evs)
+		if got := m.Cycles(); run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d: %v cycles, run 0 gave %v", run, got, want)
+		}
+	}
+}
+
 func TestLookupPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

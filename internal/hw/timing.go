@@ -4,16 +4,17 @@ import (
 	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/lower"
+	"repro/internal/sim"
 )
 
-// Machine is the cycle-approximate timing model of one target CPU. It
-// implements lower.Sink: feed it a program execution and read Seconds().
-//
-// It deliberately models effects the instruction-accurate simulator cannot
-// see, so that reference times are a richer function of the instruction
-// stream than the IA statistics (the learning problem of the paper):
+// Machine is the cycle-approximate timing model of one target CPU: the
+// instruction-accurate simulator of the same Table I hierarchy plus a
+// timing overlay. The embedded sim.Machine is the lower.Sink — it counts
+// instructions, replays every access and yields Stats — and the overlay
+// adds what the IA simulator cannot see, so that reference times are a
+// richer function of the instruction stream than the IA statistics (the
+// learning problem of the paper):
 //
 //   - per-class issue costs (wide OoO x86 retires more per cycle than the
 //     dual-issue in-order U74),
@@ -25,171 +26,78 @@ import (
 //
 // Cycle accounting is split by order sensitivity so the block-aggregated
 // event encoding stays bit-identical to the per-instruction one: issue costs
-// and mispredict penalties are pure functions of instruction/branch counts
-// and are summed arithmetically in Cycles(), while cache-miss latencies —
-// whose floating-point accumulation order matters — are added in event-
-// stream order, which both encodings emit identically.
+// and mispredict penalties are pure functions of the simulator's
+// instruction/branch counts and are summed arithmetically in Cycles(), while
+// cache-miss latencies — whose floating-point accumulation order matters —
+// are added by the simulator's miss observer in access-stream order, which
+// both encodings replay identically.
 type Machine struct {
+	*sim.Machine
 	Prof Profile
-	hier *cache.Hierarchy
 
-	// instr counts executed instructions per class (issue cycles are
-	// count·IssueCost, computed in Cycles()).
-	instr [isa.NumClasses]uint64
-	// loopExits and guardBranches count flagged branches; mispredicts and
-	// their penalties are derived in mispredicts()/Cycles().
-	loopExits     uint64
-	guardBranches uint64
 	// latencyCycles accumulates cache-miss latencies in stream order.
 	latencyCycles float64
-
-	lastLine uint64
-	haveLine bool
 
 	// streams maps a 4 KiB page to the last missed line address within it,
 	// implementing a unit-stride stream detector.
 	streams map[uint64]uint64
 }
 
+// maxStreamPages bounds the stream detector's page table, as real
+// prefetchers bound theirs.
+const maxStreamPages = 4096
+
 // NewMachine builds the timing model for a profile.
 func NewMachine(prof Profile) (*Machine, error) {
-	h, err := cache.NewHierarchy(prof.Caches)
+	s, err := sim.New(prof.Arch, prof.Caches)
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{Prof: prof, hier: h, streams: make(map[uint64]uint64, 64)}, nil
+	m := &Machine{Machine: s, Prof: prof, streams: make(map[uint64]uint64, 64)}
+	s.ObserveMisses(m.miss)
+	return m, nil
 }
 
-// Consume implements lower.Sink. EvFetch/EvData events of the block-
-// aggregated encoding carry their cache accesses directly; legacy EvInstr
-// events additionally model the line-granular instruction fetch and tally
-// their own class/flag counts.
-func (m *Machine) Consume(events []lower.Event) {
+// miss charges the latency of one access served below L1 (depth > 1).
+// Instruction fetches pay the MLP-damped latency; data misses are further
+// damped by the stream prefetcher and, for stores, by the write buffers.
+func (m *Machine) miss(addr uint64, kind, depth int) {
 	t := &m.Prof.Timing
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case lower.EvFetch:
-			if depth := m.hier.Fetch(e.PC, 1); depth > 1 {
-				m.latencyCycles += t.Latency[depth] * (1 - t.MLPOverlap)
-			}
-		case lower.EvData:
-			m.dataAccess(e, t)
-		default: // EvInstr
-			m.instr[e.Class]++
-
-			// Front end: instruction fetch at line granularity.
-			line := e.PC &^ 63
-			if !m.haveLine || line != m.lastLine {
-				if depth := m.hier.Fetch(line, 1); depth > 1 {
-					m.latencyCycles += t.Latency[depth] * (1 - t.MLPOverlap)
-				}
-				m.lastLine = line
-				m.haveLine = true
-			}
-
-			switch {
-			case e.Class.IsLoad(), e.Class.IsStore():
-				m.dataAccess(e, t)
-			case e.Flags&lower.FlagLoopExit != 0:
-				m.loopExits++
-			case e.Flags&lower.FlagGuard != 0:
-				m.guardBranches++
-			}
-		}
-	}
-}
-
-// dataAccess replays one load/store through the hierarchy and charges its
-// miss latency (damped by prefetch, write buffers and MLP overlap).
-func (m *Machine) dataAccess(e *lower.Event, t *TimingParams) {
-	m.dataAccessAddr(e.Addr, uint32(e.Size), e.Class.IsStore(), t)
-}
-
-func (m *Machine) dataAccessAddr(addr uint64, size uint32, write bool, t *TimingParams) {
-	depth := m.hier.Data(addr, size, write)
-	if depth > 1 {
-		lat := t.Latency[depth]
+	lat := t.Latency[depth]
+	if kind != cache.KindFetch {
 		if m.streamHit(addr) {
 			lat *= 1 - t.PrefetchEff
 		}
 		// Store misses are mostly hidden by write buffers; charge a quarter
 		// of the load penalty.
-		if write {
+		if kind == cache.KindWrite {
 			lat *= 0.25
 		}
-		m.latencyCycles += lat * (1 - t.MLPOverlap)
 	}
-}
-
-// ConsumeLoop implements lower.Sink: the span's accesses are replayed in
-// interleaved order, so miss latencies accumulate exactly as the per-event
-// stream would (issue costs arrive through ConsumeCounts). A span whose
-// lines are all resident in L1D takes the cache package's bulk fast path:
-// every access hits, so it contributes no miss latency and never touches
-// the stream detector (which only observes misses) — bit-identical cycles
-// at a fraction of the replay cost.
-func (m *Machine) ConsumeLoop(run *lower.LoopRun) {
-	t := &m.Prof.Timing
-	rows, planes := run.Rows, run.Planes
-	if rows < 1 {
-		rows = 1
-	}
-	if planes < 1 {
-		planes = 1
-	}
-	if m.hier.TryDataRunResident(run.Count, rows, planes, run.Sites) {
-		return
-	}
-	for k := 0; k < planes; k++ {
-		for j := 0; j < rows; j++ {
-			for i := 0; i < run.Count; i++ {
-				for s := range run.Sites {
-					site := &run.Sites[s]
-					addr := site.Addr + uint64(int64(k)*site.PlaneStep+int64(j)*site.RowStep+int64(i)*site.Step)
-					m.dataAccessAddr(addr, uint32(site.Size), site.Write, t)
-				}
-			}
-		}
-	}
-}
-
-// ConsumeCounts implements lower.Sink: bulk instruction and flagged-branch
-// counts of the block-aggregated encoding. Issue cycles and mispredict
-// penalties are derived from these totals in Cycles(), so adding them in one
-// step is exact.
-func (m *Machine) ConsumeCounts(counts *lower.Counts) {
-	for cl, n := range counts.ByClass {
-		m.instr[cl] += n
-	}
-	m.loopExits += counts.LoopExits
-	m.guardBranches += counts.GuardBranches
+	m.latencyCycles += lat * (1 - t.MLPOverlap)
 }
 
 // streamHit updates the unit-stride detector and reports whether the missed
-// line continues a detected stream (and would have been prefetched).
+// line continues a detected stream (and would have been prefetched). A new
+// page arriving at a full table flushes the whole table, so which pages the
+// detector remembers is a pure function of the miss stream.
 func (m *Machine) streamHit(addr uint64) bool {
 	page := addr >> 12
 	line := addr >> 6
 	last, ok := m.streams[page]
-	m.streams[page] = line
-	if len(m.streams) > 4096 { // bound the table like real prefetchers do
-		for k := range m.streams {
-			delete(m.streams, k)
-			if len(m.streams) <= 64 {
-				break
-			}
-		}
+	if !ok && len(m.streams) == maxStreamPages {
+		clear(m.streams)
 	}
+	m.streams[page] = line
 	return ok && (line == last+1 || line == last)
 }
 
 // mispredicts derives the modelled mispredict count: every loop exit plus
 // every GuardMispredictEvery-th guard branch.
-func (m *Machine) mispredicts() uint64 {
-	n := m.loopExits
+func (m *Machine) mispredicts(c lower.Counts) uint64 {
+	n := c.LoopExits
 	if every := m.Prof.Timing.GuardMispredictEvery; every > 0 {
-		n += m.guardBranches / every
+		n += c.GuardBranches / every
 	}
 	return n
 }
@@ -198,17 +106,18 @@ func (m *Machine) mispredicts() uint64 {
 // cache-miss latencies and branch-mispredict penalties.
 func (m *Machine) Cycles() float64 {
 	t := &m.Prof.Timing
+	c := m.Counts()
 	cycles := m.latencyCycles
-	for cl, n := range m.instr {
+	for cl, n := range c.ByClass {
 		if n > 0 {
 			cycles += float64(n) * t.IssueCost[cl]
 		}
 	}
-	return cycles + float64(m.mispredicts())*t.MispredictPenalty
+	return cycles + float64(m.mispredicts(c))*t.MispredictPenalty
 }
 
 // Mispredicts returns the modelled branch mispredictions.
-func (m *Machine) Mispredicts() uint64 { return m.mispredicts() }
+func (m *Machine) Mispredicts() uint64 { return m.mispredicts(m.Counts()) }
 
 // Seconds converts cycles to wall time at the profile's clock and adds the
 // fixed per-run call overhead.
@@ -216,14 +125,11 @@ func (m *Machine) Seconds() float64 {
 	return m.Cycles()/(m.Prof.FreqGHz*1e9) + m.Prof.Timing.CallOverheadSec
 }
 
-// Reset clears cycles, caches and predictor state for a fresh run.
+// Reset clears the simulator (counters and caches) and the overlay's
+// cycles and prefetcher state for a fresh run.
 func (m *Machine) Reset() {
-	m.instr = [isa.NumClasses]uint64{}
-	m.loopExits = 0
-	m.guardBranches = 0
+	m.Machine.Reset()
 	m.latencyCycles = 0
-	m.haveLine = false
-	m.hier.Reset()
 	clear(m.streams)
 }
 

@@ -13,13 +13,18 @@ func DefaultAnalyzers() []*Analyzer {
 				// design, so locks are banned along with clocks and
 				// formatting. Execute covers the whole block-aggregated
 				// replay; the Hierarchy methods are the per-event entry
-				// points the sim/hw sinks drive.
+				// points the simulator sink drives.
 				{Name: "repro/internal/lower.Execute", NoLock: true},
 				{Name: "repro/internal/lower.ExecutePerInstruction", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.DataRun", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.TryDataRunResident", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.Data", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.Fetch", NoLock: true},
+				// The timing model's miss overlay runs inside those
+				// replay loops, but they reach it through the
+				// hierarchy's miss observer — a function value the call
+				// graph cannot follow — so it is a root of its own.
+				{Name: "repro/internal/hw.Machine.miss", NoLock: true},
 				// Cache-hit serve path (PR 2/PR 7): ~490k cand/s; one
 				// batched mutex is the design, so locks are allowed, but
 				// clock reads must stay behind nil telemetry guards and

@@ -213,8 +213,8 @@ func TestBlockAggregationTinyCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// runBoth executes one case under both encodings on fresh machines and
-// returns (per-instruction, aggregated) results.
+// runBoth executes one case under one encoding on a fresh timing model and
+// returns its simulator statistics and the machine (for cycles).
 func runBoth(t *testing.T, tc diffCase, arch isa.Arch, compute bool,
 	exec func(*lower.Program, lower.Sink, bool)) (*sim.Stats, *hw.Machine) {
 	t.Helper()
@@ -223,20 +223,15 @@ func runBoth(t *testing.T, tc diffCase, arch isa.Arch, compute bool,
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	prof := hw.Lookup(arch)
-	simM, err := sim.New(arch, prof.Caches)
+	hwM, err := hw.NewMachine(hw.Lookup(arch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hwM, err := hw.NewMachine(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec(prog, lower.Fanout{simM, hwM}, compute)
-	if err := simM.CheckInvariants(); err != nil {
+	exec(prog, hwM, compute)
+	if err := hwM.CheckInvariants(); err != nil {
 		t.Fatalf("cache invariants: %v", err)
 	}
-	return simM.Stats(), hwM
+	return hwM.Stats(), hwM
 }
 
 // TestBlockAggregationRandomSchedules fuzzes the same bit-identity property

@@ -1,13 +1,13 @@
 // Package lower compiles a scheduled tensor kernel into an executable
 // loop-nest Program for one target ISA — the analogue of TVM's lowering plus
 // LLVM code generation in the paper's flow. Executing a Program produces the
-// instruction/memory event stream that both back-ends consume:
-//
-//   - the instruction-accurate simulator (internal/sim), which counts
-//     instruction classes and drives the Table I cache hierarchy and plays
-//     the role of gem5 in atomic mode, and
-//   - the timing model (internal/hw), which additionally accumulates cycles
-//     and plays the role of the real target hardware.
+// instruction/memory event stream that one sink consumes: the
+// instruction-accurate simulator (internal/sim), which counts instruction
+// classes, drives the Table I cache hierarchy and plays the role of gem5 in
+// atomic mode. The timing model (internal/hw), which plays the role of the
+// real target hardware, is that simulator plus an overlay that turns its
+// cache misses and instruction counts into cycles; it needs no stream of
+// its own.
 //
 // The lowering reproduces the mechanisms that make different schedules of
 // one kernel behave differently on hardware: loop tiling changes locality,
@@ -42,9 +42,10 @@
 //     ordered relative to Consume batches.
 //   - ConsumeCounts(counts): bulk per-class instruction counts plus flagged-
 //     branch tallies (loop exits, guard branches) aggregated over the whole
-//     execution. These quantities are order-independent: they feed pure
-//     counters (sim) or end-of-run arithmetic (hw issue cycles, mispredict
-//     penalties), so aggregating them loses no information.
+//     execution. These quantities are order-independent: they feed the
+//     simulator's counters, from which the timing overlay derives issue
+//     cycles and mispredict penalties at the end of the run, so aggregating
+//     them loses no information.
 //
 // Uniform non-memory instruction bursts (the bodyFLOPs FMA runs, accumulator
 // init blocks, preheader ALU padding) are folded by the executor into single
@@ -156,32 +157,6 @@ type Sink interface {
 	Consume(events []Event)
 	ConsumeLoop(run *LoopRun)
 	ConsumeCounts(counts *Counts)
-}
-
-// Fanout duplicates an event stream to several sinks, letting one program
-// execution feed the instruction-accurate simulator and the timing model
-// simultaneously (they model the same binary running on different machines).
-type Fanout []Sink
-
-// Consume forwards the batch to every sink.
-func (f Fanout) Consume(events []Event) {
-	for _, s := range f {
-		s.Consume(events)
-	}
-}
-
-// ConsumeLoop forwards the span to every sink.
-func (f Fanout) ConsumeLoop(run *LoopRun) {
-	for _, s := range f {
-		s.ConsumeLoop(run)
-	}
-}
-
-// ConsumeCounts forwards the aggregates to every sink.
-func (f Fanout) ConsumeCounts(counts *Counts) {
-	for _, s := range f {
-		s.ConsumeCounts(counts)
-	}
 }
 
 // CountingSink tallies events by class; used in tests and quick estimates.

@@ -64,10 +64,12 @@ func fuzzSchedule(data []byte) (func() *te.Workload, isa.Arch, []schedule.Step) 
 
 // FuzzExecutorBitIdentical checks, over the schedule space, that the
 // block-aggregated executor is an encoding change only: Execute and
-// ExecutePerInstruction give equal simulator statistics on the Table I
-// hierarchy of the architecture and on an 8-set 1-way L1D, and equal
-// timing-model cycles and mispredicts. The seed corpus under
-// testdata/fuzz replays as part of the normal test run.
+// ExecutePerInstruction give equal simulator statistics and equal
+// timing-model cycles and mispredicts, on the Table I hierarchy of the
+// architecture and on an 8-set 1-way L1D. It also checks that the timing
+// model is the simulator plus an overlay: its Stats equal a plain
+// sim.Machine's for the same program. The seed corpus under testdata/fuzz
+// replays as part of the normal test run.
 func FuzzExecutorBitIdentical(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wl, arch, steps := fuzzSchedule(data)
@@ -87,21 +89,19 @@ func FuzzExecutorBitIdentical(f *testing.F) {
 		}
 		prof := hw.Lookup(arch)
 		for _, caches := range []cache.HierarchyConfig{prof.Caches, tinyL1D} {
+			p := prof
+			p.Caches = caches
 			run := func(exec func(*lower.Program, lower.Sink, bool)) (*sim.Stats, *hw.Machine) {
-				simM, err := sim.New(arch, caches)
+				hwM, err := hw.NewMachine(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hwM, err := hw.NewMachine(prof)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exec(build(), lower.Fanout{simM, hwM}, false)
-				if err := simM.CheckInvariants(); err != nil {
+				exec(build(), hwM, false)
+				if err := hwM.CheckInvariants(); err != nil {
 					t.Fatalf("cache invariants: %v", err)
 				}
-				st := simM.Stats()
-				st.SimWallSeconds, st.SinkEvents = 0, 0
+				st := hwM.Stats()
+				st.SinkEvents = 0
 				return st, hwM
 			}
 			ref, refHW := run(lower.ExecutePerInstruction)
@@ -111,7 +111,16 @@ func FuzzExecutorBitIdentical(f *testing.F) {
 					arch, steps, caches.L1D.SizeBytes, ref, agg)
 			}
 			if refHW.Cycles() != aggHW.Cycles() || refHW.Mispredicts() != aggHW.Mispredicts() {
-				t.Fatalf("%s %v: hw cycles/mispredicts differ", arch, steps)
+				t.Fatalf("%s %v (L1D %d B): hw cycles/mispredicts differ", arch, steps, caches.L1D.SizeBytes)
+			}
+			simM, err := sim.New(arch, caches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lower.Execute(build(), simM, false)
+			if st := aggHW.Stats(); !reflect.DeepEqual(st, simM.Stats()) {
+				t.Fatalf("%s %v (L1D %d B): timing-model stats differ from the simulator's:\nhw:  %+v\nsim: %+v",
+					arch, steps, caches.L1D.SizeBytes, st, simM.Stats())
 			}
 		}
 	})

@@ -401,19 +401,6 @@ func (f sinkFunc) Consume(events []Event)  { f(events) }
 func (f sinkFunc) ConsumeLoop(_ *LoopRun)  {}
 func (f sinkFunc) ConsumeCounts(_ *Counts) {}
 
-func TestFanoutDuplicates(t *testing.T) {
-	a, b := &CountingSink{}, &CountingSink{}
-	wl := te.MatMul(4, 4, 4)
-	p, err := Build(schedule.New(wl.Op), isa.Lookup(isa.X86))
-	if err != nil {
-		t.Fatal(err)
-	}
-	Execute(p, Fanout{a, b}, false)
-	if a.Total == 0 || a.Total != b.Total {
-		t.Fatalf("fanout mismatch: %d vs %d", a.Total, b.Total)
-	}
-}
-
 func TestExecutionDeterminism(t *testing.T) {
 	wl := te.ConvGroup(te.ScaleTiny, 2)
 	s := schedule.New(wl.Op)

@@ -32,8 +32,8 @@
 //	                     (what routers merge; see obs.MetricsSnapshot)
 //	GET  /v1/traces    — recent batch traces, newest first (bounded ring);
 //	                     batches carry an X-Simtune-Trace ID end to end
-//	GET  /v1/keys      — cache-key inventory (optionally ?range=lo-hi over
-//	                     ring positions); leaf servers only
+//	GET  /v1/keys      — inventory of every stored cache key; leaf servers
+//	                     only
 //	POST /v1/fetch     — bulk-read stored results by key; leaf servers only
 //	POST /v1/ingest    — install replayed results (warm handoff); leaf only
 //

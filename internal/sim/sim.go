@@ -66,13 +66,15 @@ func (s *Stats) Cache(name string) (cache.Stats, bool) {
 // parallel (n_parallel); Machines are single-goroutine, so create one per
 // worker (or Acquire/Release pooled instances).
 type Machine struct {
-	model     isa.Model
-	hier      *cache.Hierarchy
-	instr     [isa.NumClasses]uint64
-	loopExits uint64
-	events    uint64
-	lastLine  uint64
-	haveLine  bool
+	model isa.Model
+	hier  *cache.Hierarchy
+	// counts tallies executed instructions per class and flagged branches.
+	// Guard branches stay out of Stats (the wire and store record); Counts
+	// exposes them to timing models layered on the simulator.
+	counts   lower.Counts
+	events   uint64
+	lastLine uint64
+	haveLine bool
 }
 
 // New builds a simulator for an ISA with the given cache geometry.
@@ -83,6 +85,12 @@ func New(arch isa.Arch, caches cache.HierarchyConfig) (*Machine, error) {
 	}
 	return &Machine{model: isa.Lookup(arch), hier: h}, nil
 }
+
+// ObserveMisses installs f as the miss observer of the machine's cache
+// hierarchy (see cache.Hierarchy.ObserveMisses): it sees every data access
+// and instruction fetch served below L1, in stream order. The timing model
+// (internal/hw) is built this way; pure simulation leaves it unset.
+func (m *Machine) ObserveMisses(f cache.MissFunc) { m.hier.ObserveMisses(f) }
 
 // Consume implements lower.Sink. EvFetch and EvData events carry their cache
 // accesses directly; legacy EvInstr events additionally model the
@@ -98,7 +106,7 @@ func (m *Machine) Consume(events []lower.Event) {
 		case lower.EvData:
 			m.hier.Data(e.Addr, uint32(e.Size), e.Class.IsStore())
 		default: // EvInstr
-			m.instr[e.Class]++
+			m.counts.ByClass[e.Class]++
 			line := e.PC &^ 63
 			if !m.haveLine || line != m.lastLine {
 				m.hier.Fetch(line, 1)
@@ -112,7 +120,10 @@ func (m *Machine) Consume(events []lower.Event) {
 				m.hier.Data(e.Addr, uint32(e.Size), true)
 			case e.Class == isa.Branch:
 				if e.Flags&lower.FlagLoopExit != 0 {
-					m.loopExits++
+					m.counts.LoopExits++
+				}
+				if e.Flags&lower.FlagGuard != 0 {
+					m.counts.GuardBranches++
 				}
 			}
 		}
@@ -133,21 +144,26 @@ func (m *Machine) ConsumeLoop(run *lower.LoopRun) {
 // the block-aggregated encoding are added arithmetically.
 func (m *Machine) ConsumeCounts(counts *lower.Counts) {
 	for cl, n := range counts.ByClass {
-		m.instr[cl] += n
+		m.counts.ByClass[cl] += n
 	}
-	m.loopExits += counts.LoopExits
+	m.counts.LoopExits += counts.LoopExits
+	m.counts.GuardBranches += counts.GuardBranches
 }
+
+// Counts returns the instruction-class and flagged-branch totals consumed
+// so far, guard branches included.
+func (m *Machine) Counts() lower.Counts { return m.counts }
 
 // Stats snapshots the counters collected so far.
 func (m *Machine) Stats() *Stats {
-	s := &Stats{Arch: m.model.Arch, Instr: m.instr, LoopExits: m.loopExits,
-		SinkEvents: m.events}
-	for _, c := range m.instr {
+	s := &Stats{Arch: m.model.Arch, Instr: m.counts.ByClass,
+		LoopExits: m.counts.LoopExits, SinkEvents: m.events}
+	for _, c := range s.Instr {
 		s.Total += c
 	}
-	s.Loads = m.instr[isa.Load] + m.instr[isa.VLoad]
-	s.Stores = m.instr[isa.Store] + m.instr[isa.VStore]
-	s.Branches = m.instr[isa.Branch]
+	s.Loads = s.Instr[isa.Load] + s.Instr[isa.VLoad]
+	s.Stores = s.Instr[isa.Store] + s.Instr[isa.VStore]
+	s.Branches = s.Instr[isa.Branch]
 	for _, lv := range m.hier.Levels() {
 		s.Caches = append(s.Caches, LevelStats{Name: lv.Config().Name, Stats: lv.Stats})
 	}
@@ -159,8 +175,7 @@ func (m *Machine) CheckInvariants() error { return m.hier.CheckStats() }
 
 // Reset clears instruction counters and cache contents (cold start).
 func (m *Machine) Reset() {
-	m.instr = [isa.NumClasses]uint64{}
-	m.loopExits = 0
+	m.counts = lower.Counts{}
 	m.events = 0
 	m.haveLine = false
 	m.hier.Reset()

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/lower"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/te"
 )
 
@@ -23,7 +24,7 @@ func buildProg(t *testing.T, arch isa.Arch) *lower.Program {
 func TestRunProducesStats(t *testing.T) {
 	for _, arch := range isa.Archs() {
 		p := buildProg(t, arch)
-		st, err := Run(p, hw.Lookup(arch).Caches)
+		st, err := sim.Run(p, hw.Lookup(arch).Caches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestRunProducesStats(t *testing.T) {
 
 func TestCacheLevelNamesPerArch(t *testing.T) {
 	px := buildProg(t, isa.X86)
-	stx, err := Run(px, hw.Lookup(isa.X86).Caches)
+	stx, err := sim.Run(px, hw.Lookup(isa.X86).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCacheLevelNamesPerArch(t *testing.T) {
 		t.Fatal("x86 must have L3")
 	}
 	pr := buildProg(t, isa.RISCV)
-	str, err := Run(pr, hw.Lookup(isa.RISCV).Caches)
+	str, err := sim.Run(pr, hw.Lookup(isa.RISCV).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestCacheLevelNamesPerArch(t *testing.T) {
 
 func TestStatsConsistency(t *testing.T) {
 	p := buildProg(t, isa.ARM)
-	m, err := New(isa.ARM, hw.Lookup(isa.ARM).Caches)
+	m, err := sim.New(isa.ARM, hw.Lookup(isa.ARM).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestInstructionFetchLineGranular(t *testing.T) {
 	if p.CodeBytes() <= 64 {
 		t.Fatalf("unrolled kernel should exceed one code line, got %d B", p.CodeBytes())
 	}
-	m, err := New(isa.RISCV, hw.Lookup(isa.RISCV).Caches)
+	m, err := sim.New(isa.RISCV, hw.Lookup(isa.RISCV).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestInstructionFetchLineGranular(t *testing.T) {
 
 func TestResetClearsMachine(t *testing.T) {
 	p := buildProg(t, isa.X86)
-	m, err := New(isa.X86, hw.Lookup(isa.X86).Caches)
+	m, err := sim.New(isa.X86, hw.Lookup(isa.X86).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestResetClearsMachine(t *testing.T) {
 
 func TestDeterministicStats(t *testing.T) {
 	p := buildProg(t, isa.X86)
-	a, err := Run(p, hw.Lookup(isa.X86).Caches)
+	a, err := sim.Run(p, hw.Lookup(isa.X86).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(p, hw.Lookup(isa.X86).Caches)
+	b, err := sim.Run(p, hw.Lookup(isa.X86).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestTilingImprovesL1DHitRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Run(p, hw.Lookup(isa.ARM).Caches)
+		st, err := sim.Run(p, hw.Lookup(isa.ARM).Caches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestTilingImprovesL1DHitRate(t *testing.T) {
 
 func TestSimWallSecondsMeasured(t *testing.T) {
 	p := buildProg(t, isa.X86)
-	st, err := Run(p, hw.Lookup(isa.X86).Caches)
+	st, err := sim.Run(p, hw.Lookup(isa.X86).Caches)
 	if err != nil {
 		t.Fatal(err)
 	}
